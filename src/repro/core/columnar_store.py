@@ -1,4 +1,4 @@
-"""Columnar (array-backed) segment store: the slope index, vectorised.
+"""Columnar (array-backed) segment store: the slope index over flat columns.
 
 :class:`ColumnarSegmentStore` answers exactly the same queries as
 :class:`repro.core.slope_index.SlopeIndexedStore` — same blocked times,
@@ -9,28 +9,35 @@ segment:
 
 ``t0 | t1 | p0 | p1 | slope | intercept | owner``
 
-The layout buys three things the object-per-segment stores cannot offer:
+Besides the columns, every segment is indexed once per 16-cell position
+band it touches, as one :data:`BandEntry`
+``(enter, exit, t0, t1, p0, p1, slope, intercept)``: the closed time
+interval it spends inside the band followed by the segment itself.
+Each band's entries stay sorted, with a parallel prefix-max of their
+exits.  That buys three things the object-per-segment stores cannot
+offer:
 
-* **Vectorised collision filtering.**  A candidate window is a single
-  ``bisect`` pair on the ``t0`` column; for congested strips the
-  per-candidate conflict arithmetic (Definition 6's vertex/swap cases)
-  runs as numpy masks over zero-copy ``int64`` views of the columns,
-  replacing the per-segment Python loop.  Small windows take a scalar
-  fast path — numpy's per-op overhead loses to a short Python loop.
-* **Batched occupancy scans.**  :meth:`first_occupied` and
-  :meth:`clear_entry_time` answer a whole time span per call from one
-  column scan, where the object stores replay per-second point probes.
-* **An incremental per-band interval index.**  Every segment's covered
-  time interval per 16-cell position band is kept sorted per band with
-  a parallel prefix-max of interval ends, so :meth:`band_clear` decides
-  "no stored segment touches this band during this span" with one
-  ``bisect`` and one comparison per band — O(log n) *negative* answers
-  for :meth:`earliest_conflict`, :meth:`first_occupied`,
-  :meth:`clear_entry_time` and :meth:`free_window`, and the free-flow
-  fast path in the inter-strip search.  :meth:`scan_cost_hint` exposes
-  the indexed entry count so the certificate layer can judge minting
+* **O(log n) negative answers.**  :meth:`band_clear` decides "no stored
+  segment touches this band during this span" with one ``bisect`` and
+  one comparison per band; the inter-strip free-flow fast path and
+  :meth:`free_window` rest on it, and :meth:`scan_cost_hint` exposes the
+  indexed entry count so the certificate layer can judge minting
   profitability per probe region instead of via the blanket
   ``_CERT_STORE_MAX`` size throttle (:attr:`cheap_scans`).
+* **Band-sliced scans.**  :meth:`earliest_conflict`,
+  :meth:`first_occupied` and :meth:`clear_entry_time` judge only the
+  entries ``bisect_left(maxb, t_lo, 0, n) <= j < n`` of the bands the
+  probe covers, where ``n = bisect_right(entries, (t_hi, _SENT))``:
+  every earlier entry left the band before ``t_lo`` (the prefix max
+  says so), every later one enters after ``t_hi``.  Every conflict kind
+  (same-line, crossing, swap) and every occupancy puts the other
+  segment inside the probe's position range at an integer second of
+  the probe's span, so the slices hold every segment that can answer
+  the query — typically a handful, where the strip-wide ``t0`` window
+  holds every segment of the strip alive at the same time.
+* **Batched occupancy scans.**  :meth:`first_occupied` and
+  :meth:`clear_entry_time` answer a whole time span per call from one
+  slice scan, where the object stores replay per-second point probes.
 
 Tie-break contract (must match the slope index bit-for-bit): the
 reported conflict is the minimum over candidates of the key
@@ -41,7 +48,13 @@ order with the probe's own class skipped.  Restricting the t0-sorted
 combined columns to one slope class reproduces that class's per-slope
 list order (both are bisect-right insertion orders on ``t0``), so this
 key reproduces the slope index's "same-slope first, then classes in
-scan order, strict ``<`` within a class" selection exactly.
+scan order, strict ``<`` within a class" selection exactly.  The band
+scans visit candidates in band order, not column order, and meet a
+segment once per band it touches, so they compare
+``(blocked_time, class_rank, t0)`` — the columns are sorted by ``t0`` —
+and resolve a tie between two *distinct* segments with equal ``t0`` by
+looking up their column indices.  Value-equal instances report the
+same obstacle, so which of them wins is unobservable.
 
 Zero-copy views and resize safety: numpy views are built with
 ``np.frombuffer`` over the live ``array('q')`` buffers and cached until
@@ -53,7 +66,7 @@ touching a column; query methods never let a view escape.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -71,8 +84,10 @@ from repro.core.store_base import (
 #: Width (cells) of the position bands of the free-window interval index.
 BAND_WIDTH = 16
 
-#: Candidate-window sizes up to this run the scalar loop; larger windows
-#: go through the numpy path.  Crossover measured on the hot-path bench.
+#: Stores up to this size answer the whole-store scans (exact free
+#: windows, band signatures) with the base class's scalar loop; larger
+#: ones go through the numpy path.  Crossover measured on the hot-path
+#: bench.
 _SCALAR_MAX = 32
 
 #: Sentinel larger than any real blocked time (times fit in well under
@@ -93,14 +108,38 @@ for _m in (-1, 0, 1):
             _rank += 1
 del _m, _k, _rank
 
+#: One per-band index entry ``(enter, exit, t0, t1, p0, p1, slope,
+#: intercept)``: the closed time interval the segment spends inside the
+#: band, then the segment itself, so band scans judge candidates without
+#: touching the columns.  Entries order by ``(enter, exit)`` first, which
+#: is all the prefix-max and ``bisect_right(entries, (t, _SENT))``
+#: contracts rely on.
+BandEntry = Tuple[int, int, int, int, int, int, int, int]
+
+
+def _band_entries(segment: Segment) -> List[Tuple[int, BandEntry]]:
+    """``(band, entry)`` for every position band ``segment`` touches."""
+    p0, p1 = segment.p0, segment.p1
+    pmin, pmax = (p0, p1) if p0 <= p1 else (p1, p0)
+    tail = (segment.t0, segment.t1, p0, p1, segment.slope, segment.intercept)
+    out: List[Tuple[int, BandEntry]] = []
+    for band in range(pmin // BAND_WIDTH, pmax // BAND_WIDTH + 1):
+        interval = _band_time_interval(
+            segment, band * BAND_WIDTH, band * BAND_WIDTH + BAND_WIDTH - 1
+        )
+        assert interval is not None  # band range intersects [pmin, pmax]
+        out.append((band, interval + tail))
+    return out
+
 
 class ColumnarSegmentStore(SegmentStore):
     """Array-backed store, bit-compatible with the slope index.
 
     See the module docstring for the layout and the tie-break contract.
-    Instrumentation note: :attr:`judged` counts window candidates whose
-    time span can overlap the probe (the work the scan actually touches)
-    rather than the slope index's per-bucket judgement count; only
+    Instrumentation note: :attr:`judged` counts the band-slice entries
+    :meth:`earliest_conflict` judges (the work the scan actually
+    touches; a segment spanning two probed bands counts twice) rather
+    than the slope index's per-bucket judgement count; only
     slope-index-specific tests depend on the exact ``judged`` value.
     """
 
@@ -121,12 +160,12 @@ class ColumnarSegmentStore(SegmentStore):
         self._k = array("q")
         self._c = array("q")
         self._own = array("q")
-        #: longest stored duration; bounds the bisect window of every scan
+        #: longest stored duration; bounds the window of scan_cost_hint
         self._max_duration = 0
-        #: band index -> sorted [(enter, exit)] over stored segments
-        self._bands: Dict[int, List[Tuple[int, int]]] = {}
+        #: band index -> sorted entries of the segments touching the band
+        self._bands: Dict[int, List[BandEntry]] = {}
         #: band index -> prefix maxima of the exits in ``_bands[band]``
-        #: (``_maxb[band][i] == max(exit for _, exit in _bands[band][:i+1])``),
+        #: (``_maxb[band][i] == max(e[1] for e in _bands[band][:i+1])``),
         #: so "any interval overlapping [t0, t1]?" is one bisect + one
         #: comparison instead of a scan
         self._maxb: Dict[int, List[int]] = {}
@@ -162,22 +201,16 @@ class ColumnarSegmentStore(SegmentStore):
         duration = segment.t1 - t0
         if duration > self._max_duration:
             self._max_duration = duration
-        p0, p1 = segment.p0, segment.p1
-        pmin, pmax = (p0, p1) if p0 <= p1 else (p1, p0)
-        for band in range(pmin // BAND_WIDTH, pmax // BAND_WIDTH + 1):
-            interval = _band_time_interval(
-                segment, band * BAND_WIDTH, band * BAND_WIDTH + BAND_WIDTH - 1
-            )
-            assert interval is not None  # band range intersects [pmin, pmax]
+        for band, entry in _band_entries(segment):
             entries = self._bands.get(band)
             if entries is None:
-                self._bands[band] = [interval]
-                self._maxb[band] = [interval[1]]
+                self._bands[band] = [entry]
+                self._maxb[band] = [entry[1]]
             else:
-                at = bisect_right(entries, interval)
-                entries.insert(at, interval)
+                at = bisect_right(entries, entry)
+                entries.insert(at, entry)
                 maxb = self._maxb[band]
-                exit_t = interval[1]
+                exit_t = entry[1]
                 prev = maxb[at - 1] if at > 0 else -1
                 maxb.insert(at, exit_t if exit_t > prev else prev)
                 # Entries after ``at`` already hold the prefix-max over
@@ -215,15 +248,9 @@ class ColumnarSegmentStore(SegmentStore):
         del self._k[found]
         del self._c[found]
         del self._own[found]
-        p0, p1 = segment.p0, segment.p1
-        pmin, pmax = (p0, p1) if p0 <= p1 else (p1, p0)
-        for band in range(pmin // BAND_WIDTH, pmax // BAND_WIDTH + 1):
-            interval = _band_time_interval(
-                segment, band * BAND_WIDTH, band * BAND_WIDTH + BAND_WIDTH - 1
-            )
-            assert interval is not None
+        for band, entry in _band_entries(segment):
             entries = self._bands[band]
-            at = bisect_left(entries, interval)
+            at = bisect_left(entries, entry)
             entries.pop(at)
             maxb = self._maxb[band]
             maxb.pop()
@@ -258,25 +285,17 @@ class ColumnarSegmentStore(SegmentStore):
         self._c = array("q", [self._c[i] for i in keep])
         self._own = array("q", [self._own[i] for i in keep])
         self._bands = {}
-        for i in range(len(self._t0)):
-            segment = Segment(self._t0[i], self._p0[i], self._t1[i], self._p1[i])
-            pmin = segment.p0 if segment.p0 <= segment.p1 else segment.p1
-            pmax = segment.p0 if segment.p0 >= segment.p1 else segment.p1
-            for band in range(pmin // BAND_WIDTH, pmax // BAND_WIDTH + 1):
-                interval = _band_time_interval(
-                    segment,
-                    band * BAND_WIDTH,
-                    band * BAND_WIDTH + BAND_WIDTH - 1,
-                )
-                assert interval is not None
-                insort(self._bands.setdefault(band, []), interval)
+        for segment in self.iter_segments():
+            for band, entry in _band_entries(segment):
+                self._bands.setdefault(band, []).append(entry)
         self._maxb = {}
         for band, entries in self._bands.items():
+            entries.sort()
             run = -1
             maxb = []
-            for _enter, end in entries:
-                if end > run:
-                    run = end
+            for entry in entries:
+                if entry[1] > run:
+                    run = entry[1]
                 maxb.append(run)
             self._maxb[band] = maxb
         self._recompute_max_duration()
@@ -318,12 +337,6 @@ class ColumnarSegmentStore(SegmentStore):
     def iter_segments(self) -> Iterator[Segment]:
         for i in range(len(self._t0)):
             yield Segment(self._t0[i], self._p0[i], self._t1[i], self._p1[i])
-
-    def _window(self, t_lo: int, t_hi: int) -> Tuple[int, int]:
-        """Column range of candidates whose time span can touch [t_lo, t_hi]."""
-        lo = bisect_left(self._t0, t_lo - self._max_duration)
-        hi = bisect_right(self._t0, t_hi, lo)
-        return lo, hi
 
     def band_clear(self, lo: int, hi: int, t0: int, t1: int) -> bool:
         """True when *no* stored segment touches band [lo, hi] in [t0, t1].
@@ -370,124 +383,101 @@ class ColumnarSegmentStore(SegmentStore):
         self.queries += 1
         if len(self._t0) == 0 or segment.t0 > self.last_end:
             return None
-        p0, p1 = segment.p0, segment.p1
-        if self.band_clear(
-            p0 if p0 <= p1 else p1, p1 if p0 <= p1 else p0, segment.t0, segment.t1
-        ):
-            # Every conflict kind (same-line, crossing, swap) puts the
-            # blocking segment inside the probe's position range at a
-            # second within the probe's span — impossible when the band
-            # index is clear there.
-            return None
-        lo, hi = self._window(segment.t0, segment.t1)
-        if lo >= hi:
-            return None
-        if hi - lo <= _SCALAR_MAX:
-            return self._conflict_scalar(segment, lo, hi)
-        return self._conflict_vector(segment, lo, hi)
-
-    def _conflict_scalar(
-        self, segment: Segment, lo: int, hi: int
-    ) -> Optional[ConflictHit]:
-        t0a, t1a = self._t0, self._t1
-        ka, ca = self._k, self._c
         qt0, qt1 = segment.t0, segment.t1
+        p0, p1 = segment.p0, segment.p1
+        pmin, pmax = (p0, p1) if p0 <= p1 else (p1, p0)
         m, cq = segment.slope, segment.intercept
         judged = 0
         best_t = 0
         best_rank = 0
-        best_i = -1
-        for i in range(lo, hi):
-            if t1a[i] < qt0:
-                continue
-            judged += 1
-            ot0 = t0a[i]
-            low = qt0 if qt0 > ot0 else ot0
-            high = qt1 if qt1 < t1a[i] else t1a[i]
-            k = ka[i]
-            if k == m:
-                if ca[i] != cq:
+        best: Optional[BandEntry] = None
+        for band in range(pmin // BAND_WIDTH, pmax // BAND_WIDTH + 1):
+            for entry in self._band_slice(band, qt0, qt1):
+                _enter, exit_t, ot0, ot1, _op0, _op1, k, c = entry
+                if exit_t < qt0:
                     continue
-                cand = low
-            else:
-                den = k - m
-                num = cq - ca[i]
-                if den < 0:
-                    den = -den
-                    num = -num
-                if den == 1:
-                    if num < low or num > high:
+                judged += 1
+                low = qt0 if qt0 > ot0 else ot0
+                high = qt1 if qt1 < ot1 else ot1
+                if k == m:
+                    if c != cq:
                         continue
-                    cand = num
-                elif num & 1:
-                    after = ((num - 1) >> 1) + 1
-                    if after - 1 < low or after > high:
-                        continue
-                    cand = after
+                    cand = low
                 else:
-                    cand = num >> 1
-                    if cand < low or cand > high:
-                        continue
-            rank = _CLASS_RANK[(m, k)]
-            if best_i < 0 or cand < best_t or (cand == best_t and rank < best_rank):
-                best_t, best_rank, best_i = cand, rank, i
-                if best_t <= qt0 and best_rank == 0:
-                    break
+                    den = k - m
+                    num = cq - c
+                    if den < 0:
+                        den = -den
+                        num = -num
+                    if den == 1:
+                        if num < low or num > high:
+                            continue
+                        cand = num
+                    elif num & 1:
+                        after = ((num - 1) >> 1) + 1
+                        if after - 1 < low or after > high:
+                            continue
+                        cand = after
+                    else:
+                        cand = num >> 1
+                        if cand < low or cand > high:
+                            continue
+                rank = _CLASS_RANK[(m, k)]
+                if (
+                    best is None
+                    or cand < best_t
+                    or (cand == best_t and (
+                        rank < best_rank
+                        or (rank == best_rank and self._precedes(entry, best))
+                    ))
+                ):
+                    best_t, best_rank, best = cand, rank, entry
         self.judged += judged
-        if best_i < 0:
+        if best is None:
             return None
-        return best_t, Segment(
-            self._t0[best_i], self._p0[best_i], self._t1[best_i], self._p1[best_i]
-        )
+        return best_t, Segment(best[2], best[4], best[3], best[5])
 
-    def _conflict_vector(
-        self, segment: Segment, lo: int, hi: int
-    ) -> Optional[ConflictHit]:
-        views = self._views()
-        t0s = views[0][lo:hi]
-        t1s = views[1][lo:hi]
-        ks = views[4][lo:hi]
-        cs = views[5][lo:hi]
-        qt0, qt1 = segment.t0, segment.t1
-        m, cq = segment.slope, segment.intercept
-        alive = t1s >= qt0  # t0s <= qt1 already holds by window construction
-        self.judged += int(np.count_nonzero(alive))
-        low = np.maximum(t0s, qt0)
-        high = np.minimum(t1s, qt1)
-        blocked = np.full(hi - lo, _SENT, dtype=np.int64)
-        same = alive & (ks == m) & (cs == cq)
-        blocked[same] = low[same]
-        den = ks - m
-        num = cq - cs
-        neg = den < 0
-        num = np.where(neg, -num, num)
-        aden = np.where(neg, -den, den)
-        cross1 = alive & (aden == 1) & (num >= low) & (num <= high)
-        blocked[cross1] = num[cross1]
-        odd = (num & 1) == 1
-        after = ((num - 1) >> 1) + 1
-        cross_swap = (
-            alive & (aden == 2) & odd & (after - 1 >= low) & (after <= high)
-        )
-        blocked[cross_swap] = after[cross_swap]
-        vertex = num >> 1
-        cross_vertex = (
-            alive & (aden == 2) & ~odd & (vertex >= low) & (vertex <= high)
-        )
-        blocked[cross_vertex] = vertex[cross_vertex]
-        best = int(blocked.min())
-        if best >= _SENT:
-            return None
-        ties = np.nonzero(blocked == best)[0]
-        best_i = int(ties[0])
-        if ties.shape[0] > 1:
-            best_rank = _CLASS_RANK[(m, int(ks[best_i]))]
-            for raw in ties[1:].tolist():
-                rank = _CLASS_RANK[(m, int(ks[raw]))]
-                if rank < best_rank:
-                    best_rank, best_i = rank, raw
-        i = lo + best_i
-        return best, Segment(self._t0[i], self._p0[i], self._t1[i], self._p1[i])
+    def _precedes(self, a: BandEntry, b: BandEntry) -> bool:
+        """True when ``a``'s segment sits before ``b``'s in column order.
+
+        Columns are sorted by ``t0``; only distinct segments sharing a
+        ``t0`` need their column indices looked up.  Value-equal
+        segments (the same segment seen from two bands, or a stored
+        duplicate) never precede each other.
+        """
+        if a[2] != b[2]:
+            return a[2] < b[2]
+        if a[3:6] == b[3:6]:
+            return False
+        return self._column_index(a) < self._column_index(b)
+
+    def _column_index(self, entry: BandEntry) -> int:
+        """Lowest column index holding ``entry``'s segment."""
+        t1a, p0a, p1a = self._t1, self._p0, self._p1
+        _enter, _exit, t0, t1, p0, p1, _k, _c = entry
+        i = bisect_left(self._t0, t0)
+        while t1a[i] != t1 or p0a[i] != p0 or p1a[i] != p1:
+            i += 1
+        return i
+
+    def _band_slice(self, band: int, t_lo: int, t_hi: int) -> List[BandEntry]:
+        """Entries of ``band`` that can sit in it during [t_lo, t_hi].
+
+        Entries before the returned slice left the band before ``t_lo``
+        (the prefix max of their exits is below it); entries after it
+        enter after ``t_hi``.  Entries inside may still have left before
+        ``t_lo`` — callers check ``exit``.
+        """
+        entries = self._bands.get(band)
+        if not entries:
+            return []
+        n = bisect_right(entries, (t_hi, _SENT))
+        if not n:
+            return []
+        maxb = self._maxb[band]
+        if maxb[n - 1] < t_lo:
+            return []
+        return entries[bisect_left(maxb, t_lo, 0, n):n]
 
     # ------------------------------------------------------------------
     # batched occupancy scans
@@ -497,58 +487,25 @@ class ColumnarSegmentStore(SegmentStore):
             # last_end is a monotone high-water mark over every stored
             # t1, so nothing can occupy any cell after it.
             return None
-        # band_clear inlined for the single covering band — this is the
-        # hottest store entry point (one call per crossing wait scan).
-        entries = self._bands.get(pos // BAND_WIDTH)
-        if not entries:
-            return None
-        n = bisect_right(entries, (t_hi, _SENT))
-        if not n or self._maxb[pos // BAND_WIDTH][n - 1] < t_lo:
-            return None
-        lo, hi = self._window(t_lo, t_hi)
-        if lo >= hi:
-            return None
-        if hi - lo <= _SCALAR_MAX:
-            t0a, t1a, p0a, ka, ca = self._t0, self._t1, self._p0, self._k, self._c
-            best = -1
-            for i in range(lo, hi):
-                if t1a[i] < t_lo:
+        best = _SENT
+        for _enter, exit_t, t0, t1, p0, _p1, k, c in self._band_slice(
+            pos // BAND_WIDTH, t_lo, t_hi
+        ):
+            if exit_t < t_lo:
+                continue
+            if k == 0:
+                if p0 != pos:
                     continue
-                k = ka[i]
-                if k == 0:
-                    if p0a[i] != pos:
-                        continue
-                    cand = t0a[i] if t0a[i] > t_lo else t_lo
-                else:
-                    cand = (pos - ca[i]) * k
-                    if (
-                        cand < t0a[i] or cand > t1a[i]
-                        or cand < t_lo or cand > t_hi
-                    ):
-                        continue
-                if best < 0 or cand < best:
-                    best = cand
-                    if best <= t_lo:
-                        break
-            return None if best < 0 else best
-        views = self._views()
-        t0s = views[0][lo:hi]
-        t1s = views[1][lo:hi]
-        p0s = views[2][lo:hi]
-        ks = views[4][lo:hi]
-        cs = views[5][lo:hi]
-        occupied = np.full(hi - lo, _SENT, dtype=np.int64)
-        waits = (ks == 0) & (p0s == pos) & (t1s >= t_lo)
-        occupied[waits] = np.maximum(t0s[waits], t_lo)
-        passes = (pos - cs) * ks
-        moves = (
-            (ks != 0)
-            & (passes >= t0s) & (passes <= t1s)
-            & (passes >= t_lo) & (passes <= t_hi)
-        )
-        occupied[moves] = passes[moves]
-        best_v = int(occupied.min())
-        return None if best_v >= _SENT else best_v
+                cand = t0 if t0 > t_lo else t_lo
+            else:
+                cand = (pos - c) * k
+                if cand < t0 or cand > t1 or cand < t_lo or cand > t_hi:
+                    continue
+            if cand < best:
+                best = cand
+                if best <= t_lo:
+                    break
+        return None if best == _SENT else best
 
     def clear_entry_time(self, pos: int, t_from: int, t_cap: int) -> Optional[int]:
         self.queries += 1
@@ -556,28 +513,19 @@ class ColumnarSegmentStore(SegmentStore):
             return None
         if len(self._t0) == 0 or t_from > self.last_end:
             return t_from
-        # band_clear inlined for the single covering band (see
-        # first_occupied).
-        entries = self._bands.get(pos // BAND_WIDTH)
-        if not entries:
-            return t_from
-        n = bisect_right(entries, (t_cap, _SENT))
-        if not n or self._maxb[pos // BAND_WIDTH][n - 1] < t_from:
-            return t_from
-        lo, hi = self._window(t_from, t_cap)
         intervals: List[Tuple[int, int]] = []
-        t0a, t1a, p0a, ka, ca = self._t0, self._t1, self._p0, self._k, self._c
-        for i in range(lo, hi):
-            if t1a[i] < t_from:
+        for _enter, exit_t, t0, t1, p0, _p1, k, c in self._band_slice(
+            pos // BAND_WIDTH, t_from, t_cap
+        ):
+            if exit_t < t_from:
                 continue
-            k = ka[i]
             if k == 0:
-                if p0a[i] != pos:
+                if p0 != pos:
                     continue
-                a, b = t0a[i], t1a[i]
+                a, b = t0, t1
             else:
-                t_pass = (pos - ca[i]) * k
-                if t_pass < t0a[i] or t_pass > t1a[i]:
+                t_pass = (pos - c) * k
+                if t_pass < t0 or t_pass > t1:
                     continue
                 a = b = t_pass
             if b < t_from or a > t_cap:
@@ -611,7 +559,8 @@ class ColumnarSegmentStore(SegmentStore):
             entries = self._bands.get(band)
             if not entries:
                 continue
-            for a, b in entries:
+            for entry in entries:
+                a, b = entry[0], entry[1]
                 if b < t0:
                     if b >= w_lo:
                         w_lo = b + 1

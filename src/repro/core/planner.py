@@ -144,9 +144,9 @@ class SRPPlanner(Planner):
             "naive" (Section V-B) or "bucket" (time-bucketed index, an
             extension beyond the paper).  Overrides use_slope_index.
         store_layout: physical layout of the per-strip stores —
-            "columnar" (array-backed parallel int columns with
-            vectorised scans; bit-identical to the slope index and the
-            default for store="slope") or "object" (one Python object
+            "columnar" (array-backed parallel int columns with a
+            per-band interval index; bit-identical to the slope index
+            and the default for store="slope") or "object" (one Python object
             per segment; the default for the other backends).
             "columnar" requires store="slope" — it reproduces exactly
             that backend's semantics.

@@ -108,8 +108,8 @@ class SegmentStore(ABC):
     #: True when full scans of this store are cheap enough that the
     #: certificate layer should not throttle itself on store size (see
     #: ``repro.core.inter_strip._CERT_STORE_MAX``).  Array-backed
-    #: layouts with vectorised scans and an incremental band interval
-    #: index set this; object-backed layouts keep the size throttle.
+    #: layouts with an incremental band interval index set this;
+    #: object-backed layouts keep the size throttle.
     cheap_scans: bool = False
 
     def __init__(self) -> None:
@@ -282,7 +282,7 @@ class SegmentStore(ABC):
         seconds some stored segment occupies the cell (unit slopes make
         swaps against a stationary segment impossible), so the answer
         equals ``earliest_block`` of the corresponding wait segment.
-        Columnar layouts override this with a single vectorised scan.
+        Columnar layouts override this with one scan of the cell's band.
         """
         if t_hi < t_lo:
             return None
