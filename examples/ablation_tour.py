@@ -4,8 +4,7 @@
 Runs the same online query stream through SRP variants and compares
 planning time, route quality and fallback counts:
 
-* segment store backends: slope index (Alg. 3) / naive (Sec. V-B) /
-  time-bucket (extension);
+* segment store backends: slope index (Alg. 3) / naive (Sec. V-B);
 * intra-strip search: greedy (Alg. 2) / exact / exact+backward
   (lifting the Fig. 13 restriction);
 * inter-strip search: A*-guided (ours) / plain Dijkstra (paper).
@@ -51,7 +50,6 @@ def main() -> None:
     variants = [
         ("slope index (default)", dict()),
         ("naive store (V-B)", dict(store="naive")),
-        ("time-bucket store", dict(store="bucket")),
         ("plain Dijkstra", dict(use_heuristic=False)),
         ("exact intra", dict(intra_exact=True)),
         ("exact + backward", dict(intra_exact=True, intra_backward=True)),

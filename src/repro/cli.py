@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--dest", type=_parse_cell, required=True)
     p_plan.add_argument("--time", type=int, default=0, help="release time")
     p_plan.add_argument("--planner", default="SRP", choices=PLANNER_NAMES)
-    p_plan.add_argument("--store", default="slope", choices=("slope", "naive", "bucket"),
+    p_plan.add_argument("--store", default="slope", choices=("slope", "naive"),
                         help="SRP segment-store backend")
     p_plan.add_argument("--store-layout", default=None, choices=("object", "columnar"),
                         help="physical store layout (default: columnar for --store slope, object otherwise)")
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=7)
     p_sim.add_argument("--planner", default="SRP",
                        help="comma-separated planner names (default SRP)")
-    p_sim.add_argument("--store", default="slope", choices=("slope", "naive", "bucket"),
+    p_sim.add_argument("--store", default="slope", choices=("slope", "naive"),
                        help="SRP segment-store backend")
     p_sim.add_argument("--store-layout", default=None, choices=("object", "columnar"),
                        help="physical store layout (default: columnar for --store slope, object otherwise)")
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_world_args(p_serve)
     p_serve.add_argument("--planner", default="SRP", choices=PLANNER_NAMES)
     p_serve.add_argument("--store", default="slope",
-                         choices=("slope", "naive", "bucket"),
+                         choices=("slope", "naive"),
                          help="SRP segment-store backend")
     p_serve.add_argument("--store-layout", default=None, choices=("object", "columnar"),
                          help="physical store layout (default: columnar for --store slope, object otherwise)")

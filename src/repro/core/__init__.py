@@ -17,9 +17,6 @@ Modules map one-to-one onto the paper's sections:
   strip (Section V-C, Algorithm 2);
 * :mod:`repro.core.inter_strip` — Dijkstra over the strip graph with
   intra-strip edge weights (Section VI, Algorithm 4);
-* :mod:`repro.core.plan_cache` — versioned memoisation of the
-  intra-strip edge-weight calls (an engineering extension; results are
-  identical with or without it);
 * :mod:`repro.core.conversion` — segment-plan to grid-route conversion
   (the third TC component of Fig. 22a);
 * :mod:`repro.core.fallback` — the grid-level space-time A* called in
@@ -31,7 +28,6 @@ Modules map one-to-one onto the paper's sections:
 from repro.core.columnar_store import ColumnarSegmentStore
 from repro.core.intra_strip import IntraPlan, plan_within_strip
 from repro.core.naive_store import NaiveSegmentStore
-from repro.core.plan_cache import PlanCache
 from repro.core.planner import SRPPlanner
 from repro.core.segments import Segment
 from repro.core.slope_index import SlopeIndexedStore
@@ -54,7 +50,6 @@ __all__ = [
     "Segment",
     "ColumnarSegmentStore",
     "NaiveSegmentStore",
-    "PlanCache",
     "SlopeIndexedStore",
     "IntraPlan",
     "plan_within_strip",

@@ -2,8 +2,8 @@
 
 :class:`ColumnarSegmentStore` answers exactly the same queries as
 :class:`repro.core.slope_index.SlopeIndexedStore` — same blocked times,
-same reported blocking segment under ties, same version/``last_end``
-contract — but stores segments as seven parallel flat integer columns
+same reported blocking segment under ties, same ``last_end`` contract
+— but stores segments as seven parallel flat integer columns
 (``array('q')``) sorted by start time instead of one Python object per
 segment:
 
@@ -19,11 +19,8 @@ offer:
 
 * **O(log n) negative answers.**  :meth:`band_clear` decides "no stored
   segment touches this band during this span" with one ``bisect`` and
-  one comparison per band; the inter-strip free-flow fast path and
-  :meth:`free_window` rest on it, and :meth:`scan_cost_hint` exposes the
-  indexed entry count so the certificate layer can judge minting
-  profitability per probe region instead of via the blanket
-  ``_CERT_STORE_MAX`` size throttle (:attr:`cheap_scans`).
+  one comparison per band; the inter-strip search's free-flow and
+  crossing fast paths rest on it (:attr:`cheap_scans`).
 * **Band-sliced scans.**  :meth:`earliest_conflict`,
   :meth:`first_occupied` and :meth:`clear_entry_time` judge only the
   entries ``bisect_left(maxb, t_lo, 0, n) <= j < n`` of the bands the
@@ -73,25 +70,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.segments import Segment
-from repro.core.store_base import (
-    FOREVER,
-    BandSignature,
-    ConflictHit,
-    SegmentStore,
-    _band_time_interval,
-)
+from repro.core.store_base import ConflictHit, SegmentStore, _band_time_interval
 
-#: Width (cells) of the position bands of the free-window interval index.
+#: Width (cells) of the position bands of the interval index.
 BAND_WIDTH = 16
 
-#: Stores up to this size answer the whole-store scans (exact free
-#: windows, band signatures) with the base class's scalar loop; larger
-#: ones go through the numpy path.  Crossover measured on the hot-path
-#: bench.
-_SCALAR_MAX = 32
-
 #: Sentinel larger than any real blocked time (times fit in well under
-#: 62 bits; FOREVER is 2**60).
+#: 62 bits).
 _SENT = 1 << 62
 
 #: ``(probe_slope, candidate_slope) -> tie-break rank`` reproducing the
@@ -146,9 +131,9 @@ class ColumnarSegmentStore(SegmentStore):
     cheap_scans = True
 
     __slots__ = (
-        "queries", "judged", "version", "last_end",
+        "queries", "judged", "last_end",
         "_t0", "_t1", "_p0", "_p1", "_k", "_c", "_own",
-        "_max_duration", "_bands", "_maxb", "_np",
+        "_bands", "_maxb", "_np",
     )
 
     def __init__(self) -> None:
@@ -160,8 +145,6 @@ class ColumnarSegmentStore(SegmentStore):
         self._k = array("q")
         self._c = array("q")
         self._own = array("q")
-        #: longest stored duration; bounds the window of scan_cost_hint
-        self._max_duration = 0
         #: band index -> sorted entries of the segments touching the band
         self._bands: Dict[int, List[BandEntry]] = {}
         #: band index -> prefix maxima of the exits in ``_bands[band]``
@@ -198,9 +181,6 @@ class ColumnarSegmentStore(SegmentStore):
         self._k.insert(idx, segment.slope)
         self._c.insert(idx, segment.intercept)
         self._own.insert(idx, owner)
-        duration = segment.t1 - t0
-        if duration > self._max_duration:
-            self._max_duration = duration
         for band, entry in _band_entries(segment):
             entries = self._bands.get(band)
             if entries is None:
@@ -223,7 +203,7 @@ class ColumnarSegmentStore(SegmentStore):
                         maxb[j] = exit_t
                     else:
                         break
-        self._bump_insert(segment)
+        self._raise_last_end(segment)
 
     def remove(self, segment: Segment) -> None:
         t0 = segment.t0
@@ -240,7 +220,6 @@ class ColumnarSegmentStore(SegmentStore):
         if found < 0:
             raise KeyError(f"segment {segment!r} not stored")
         self._np = None  # release buffer exports before resizing
-        duration = segment.t1 - t0
         del self._t0[found]
         del self._t1[found]
         del self._p0[found]
@@ -264,9 +243,6 @@ class ColumnarSegmentStore(SegmentStore):
                     if end > run:
                         run = end
                     maxb[j] = run
-        if duration == self._max_duration:
-            self._recompute_max_duration()
-        self._bump_version()
 
     def prune(self, before: int) -> int:
         n = len(self._t0)
@@ -298,14 +274,9 @@ class ColumnarSegmentStore(SegmentStore):
                     run = entry[1]
                 maxb.append(run)
             self._maxb[band] = maxb
-        self._recompute_max_duration()
-        self._bump_version()
         return dropped
 
     def clear(self) -> None:
-        if len(self._t0) == 0:
-            self.last_end = -1
-            return
         self._np = None
         self._t0 = array("q")
         self._t1 = array("q")
@@ -314,20 +285,9 @@ class ColumnarSegmentStore(SegmentStore):
         self._k = array("q")
         self._c = array("q")
         self._own = array("q")
-        self._max_duration = 0
         self._bands = {}
         self._maxb = {}
         self.last_end = -1
-        self._bump_version()
-
-    def _recompute_max_duration(self) -> None:
-        best = 0
-        t0, t1 = self._t0, self._t1
-        for i in range(len(t0)):
-            duration = t1[i] - t0[i]
-            if duration > best:
-                best = duration
-        self._max_duration = best
 
     # ------------------------------------------------------------------
     # queries
@@ -360,24 +320,6 @@ class ColumnarSegmentStore(SegmentStore):
             if n and maxbs[band][n - 1] >= t0:
                 return False
         return True
-
-    def scan_cost_hint(self, lo: int, hi: int, t0: int, t1: int) -> int:
-        """Indexed entries a scan of band [lo, hi] x [t0, t1] would touch.
-
-        Counts band-index intervals starting by ``t1`` in the covering
-        bands — an upper-bound proxy for how much work certificate
-        minting (and the certificate's own survival odds) would cost
-        against this region.  Two bisects per band, no column access.
-        """
-        total = 0
-        bands = self._bands
-        for band in range(lo // BAND_WIDTH, hi // BAND_WIDTH + 1):
-            entries = bands.get(band)
-            if entries:
-                total += bisect_right(entries, (t1, _SENT)) - bisect_left(
-                    entries, (t0 - self._max_duration, -_SENT)
-                )
-        return total
 
     def earliest_conflict(self, segment: Segment) -> Optional[ConflictHit]:
         self.queries += 1
@@ -543,98 +485,6 @@ class ColumnarSegmentStore(SegmentStore):
                 if cursor > t_cap:
                     return None
         return cursor
-
-    # ------------------------------------------------------------------
-    # certificates
-    def free_window(
-        self, lo: int, hi: int, t0: int, t1: int
-    ) -> Optional[Tuple[int, int]]:
-        if not self.band_clear(lo, hi, t0, t1):
-            # Some band interval overlaps the probe span; fall back to
-            # the exact per-segment computation (the band over-covers
-            # [lo, hi], so the exact scan may still find a window).
-            return self._free_window_exact(lo, hi, t0, t1)
-        w_lo, w_hi = 0, FOREVER
-        for band in range(lo // BAND_WIDTH, hi // BAND_WIDTH + 1):
-            entries = self._bands.get(band)
-            if not entries:
-                continue
-            for entry in entries:
-                a, b = entry[0], entry[1]
-                if b < t0:
-                    if b >= w_lo:
-                        w_lo = b + 1
-                elif a - 1 < w_hi:
-                    w_hi = a - 1
-        # No band interval overlaps [t0, t1]: every stored segment is
-        # outside the (band-aligned superset of the) queried band for the
-        # whole span, and the bounds computed from the band intervals are
-        # sound — possibly narrower than the exact maximal window, which
-        # only costs certificate coverage, never correctness.
-        return w_lo, w_hi
-
-    def _free_window_exact(
-        self, lo: int, hi: int, t0: int, t1: int
-    ) -> Optional[Tuple[int, int]]:
-        n = len(self._t0)
-        if n <= _SCALAR_MAX:
-            return super().free_window(lo, hi, t0, t1)
-        views = self._views()
-        t0s, t1s, p0s, p1s, ks = views[0], views[1], views[2], views[3], views[4]
-        pmin = np.minimum(p0s, p1s)
-        pmax = np.maximum(p0s, p1s)
-        in_band = (pmax >= lo) & (pmin <= hi)
-        if not bool(in_band.any()):
-            return 0, FOREVER
-        enter = np.where(
-            ks == 0,
-            t0s,
-            np.where(
-                ks == 1,
-                t0s + np.maximum(lo - p0s, 0),
-                t0s + np.maximum(p0s - hi, 0),
-            ),
-        )
-        exit_ = np.where(
-            ks == 0,
-            t1s,
-            np.where(
-                ks == 1,
-                np.minimum(t0s + (hi - p0s), t1s),
-                np.minimum(t0s + (p0s - lo), t1s),
-            ),
-        )
-        if bool((in_band & (enter <= t1) & (exit_ >= t0)).any()):
-            return None
-        w_lo, w_hi = 0, FOREVER
-        below = in_band & (exit_ < t0)
-        if bool(below.any()):
-            w_lo = int(exit_[below].max()) + 1
-        above = in_band & (enter > t1)
-        if bool(above.any()):
-            above_min = int(enter[above].min()) - 1
-            if above_min < w_hi:
-                w_hi = above_min
-        return w_lo, w_hi
-
-    def band_signature(self, lo: int, hi: int, t0: int, t1: int) -> BandSignature:
-        n = len(self._t0)
-        if n == 0:
-            return ()
-        if n <= _SCALAR_MAX:
-            return super().band_signature(lo, hi, t0, t1)
-        views = self._views()
-        t0s, t1s, p0s, p1s = views[0], views[1], views[2], views[3]
-        mask = (
-            (t0s <= t1)
-            & (t1s >= t0)
-            & (np.minimum(p0s, p1s) <= hi)
-            & (np.maximum(p0s, p1s) >= lo)
-        )
-        rows = np.nonzero(mask)[0].tolist()
-        return tuple(
-            (self._t0[i], self._p0[i], self._t1[i], self._p1[i]) for i in rows
-        )
 
     # ------------------------------------------------------------------
     # audit

@@ -9,24 +9,12 @@ ledger packs each event into a single integer —
 — so a day of traffic costs one small-int set entry per crossing
 instead of a tuple-of-tuples (~4x less resident memory, which matters
 because MC is one of the paper's three reported metrics).
-
-Like the segment stores, the ledger carries a *content version* drawn
-from the same process-global monotone counter
-(:func:`repro.core.store_base.next_version`): any content change —
-adding a new key, removing one (route decommit), an effective prune or
-clear — takes a fresh value, so two distinct crossing sets never share
-a version.  The inter-strip search's crossing memo
-(``CROSSING_TAG`` entries in :class:`~repro.core.plan_cache.PlanCache`)
-keys on this version together with both adjacent stores' versions, so
-decommit/replan recovery invalidates memoised crossings exactly — the
-same staleness signal the per-strip plan cache uses.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Tuple
 
-from repro.core.store_base import next_version
 from repro.types import Grid
 
 #: modulus for the time component of packed keys; crossings are pruned
@@ -43,18 +31,16 @@ class CrossingLedger:
     routes they invalidate, so two commit records can transiently claim
     the same crossing — exactly like overlapping claims in the segment
     stores, which keep one entry per record.  Each record's decommit
-    then releases its own reference; membership (and the content
-    version) only changes on the first add and the last remove.
+    then releases its own reference; membership only changes on the
+    first add and the last remove.
     """
 
-    __slots__ = ("_width", "_cells", "_keys", "version")
+    __slots__ = ("_width", "_cells", "_keys")
 
     def __init__(self, height: int, width: int) -> None:
         self._width = width
         self._cells = height * width
         self._keys: Dict[int, int] = {}
-        #: content version; changes exactly when the crossing set changes
-        self.version = next_version()
 
     def _pack(self, from_cell: Grid, to_cell: Grid, t: int) -> int:
         f = from_cell[0] * self._width + from_cell[1]
@@ -73,10 +59,7 @@ class CrossingLedger:
     # ------------------------------------------------------------------
     def add(self, from_cell: Grid, to_cell: Grid, t: int) -> None:
         key = self._pack(from_cell, to_cell, t)
-        count = self._keys.get(key, 0)
-        self._keys[key] = count + 1
-        if count == 0:  # srplint: allow(SRP001) refcount increment on an existing key changes no content
-            self.version = next_version()
+        self._keys[key] = self._keys.get(key, 0) + 1
 
     def add_key(self, key: Tuple[Grid, Grid, int]) -> None:
         self.add(*key)
@@ -91,9 +74,8 @@ class CrossingLedger:
         count = self._keys.get(key, 0)
         if count == 0:
             raise KeyError(f"crossing {(from_cell, to_cell, t)!r} not committed")
-        if count == 1:  # srplint: allow(SRP001) releasing a surplus reference changes no content
+        if count == 1:
             del self._keys[key]
-            self.version = next_version()
         else:
             self._keys[key] = count - 1
 
@@ -120,17 +102,12 @@ class CrossingLedger:
         """Drop crossings that happened strictly before ``before``."""
         kept = {k: c for k, c in self._keys.items() if k % _TIME_SPAN >= before}
         dropped = len(self._keys) - len(kept)
-        if not dropped:
-            return 0  # no-op: the ledger (and its version) stays untouched
-        self._keys = kept
-        self.version = next_version()
+        if dropped:
+            self._keys = kept
         return dropped
 
     def clear(self) -> None:
-        if not self._keys:
-            return
         self._keys.clear()
-        self.version = next_version()
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -33,18 +33,8 @@ import time as _time
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.intra_strip import IntraPlan, plan_within_strip
+from repro.core.intra_strip import IntraPlan, free_flow_plan, plan_within_strip
 from repro.core.intra_strip_exact import plan_within_strip_exact
-from repro.core.plan_cache import (
-    CROSSING_TAG,
-    MISSING,
-    SHIFT_TAG,
-    WINDOW_TAG,
-    PlanCache,
-    decode_plan,
-    encode_plan,
-    free_flow_plan,
-)
 from repro.core.segments import Segment, make_wait
 # _entry_clear_time moved to store_base (the batched occupancy scans
 # need it); re-exported here for its long-standing import path.
@@ -56,28 +46,6 @@ from repro.types import Grid, Query, manhattan
 #: a committed boundary crossing: the robot is at from_cell at time-1
 #: and at to_cell at time.
 CrossingKey = Tuple[Grid, Grid, int]
-
-#: Largest *object-backed* store (segment count) against which window /
-#: shift certificates are minted and probed.  Certification scans the
-#: store, so on congested strips it costs as much as the search it
-#: tries to save while the next commit kills the certificate anyway;
-#: small stores scan cheaply and their certificates live long enough to
-#: pay.  Stores advertising :attr:`SegmentStore.cheap_scans` (the
-#: columnar layout, whose band interval index answers ``free_window``
-#: incrementally and whose ``band_signature`` is one vectorised mask)
-#: skip the throttle entirely — certificate coverage no longer dies on
-#: busy strips there.  Purely a performance gate — either side of it
-#: produces bit-identical routes.
-_CERT_STORE_MAX = 16
-
-#: Largest :meth:`SegmentStore.scan_cost_hint` of a probe region against
-#: which a certificate (or a crossing memo entry) is still minted.  For
-#: object-backed stores the hint is the store size, so together with the
-#: ``_CERT_STORE_MAX`` probe gate this reproduces the per-store throttle
-#: exactly; the columnar layout's hint counts band-index entries near
-#: the probe, making the throttle per-region instead of per-store.
-_MINT_SCAN_MAX = 32
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -109,26 +77,12 @@ class SearchStats:
     """Counters filled during one plan_route call."""
 
     intra_time: float = 0.0  # srplint: allow-float perf_counter seconds, reporting only
-    #: portion of intra_time spent answering calls from the plan cache's
-    #: certificate/key layers (hits only; always <= intra_time)
-    cache_time: float = 0.0  # srplint: allow-float perf_counter seconds, reporting only
     intra_calls: int = 0
     intra_expansions: int = 0
     strips_popped: int = 0
     edges_relaxed: int = 0
-    cache_hits: int = 0
-    cache_negative_hits: int = 0
-    cache_misses: int = 0
-    #: positive hits served by a free-flow window certificate
-    window_hits: int = 0
-    #: positive hits served by a shift-invariance certificate
-    shift_hits: int = 0
-    #: boundary-crossing searches served from the crossing memo
-    crossing_hits: int = 0
-    #: boundary-crossing searches that ran the real wait loop
-    crossing_misses: int = 0
-    #: intra-strip searches answered free-flow straight from the store's
-    #: band interval index (no cache involved; works cache-off too)
+    #: intra-strip searches answered free-flow without running: past the
+    #: store's ``last_end``, or certified clear by its band index
     band_skips: int = 0
 
 
@@ -248,7 +202,6 @@ class _Search:
         crossings: AbstractSet[CrossingKey],
         config: SearchConfig,
         stats: SearchStats,
-        cache: Optional[PlanCache] = None,
         allowed: Optional[Sequence[bool]] = None,
     ) -> None:
         self.graph = graph
@@ -256,142 +209,40 @@ class _Search:
         self.crossings = crossings
         self.config = config
         self.stats = stats
-        self.cache = cache
         #: per-strip admissibility mask (region-sharded planning); None
         #: means every strip may be traversed
         self.allowed = allowed
         self._exact = config.intra_exact
-        # Raw view of the cache's entry dict: the probe below runs once
-        # per edge relaxation, so even one extra method call shows up.
-        self._cache_entries = cache.raw_entries() if cache is not None else None
-        # Window certificates rebuild the free-flow plan without running
-        # the search, which is only faithful when the uncached search
-        # would at least get to its first collision probe — and never
-        # for the exact time-expanded search, whose plans the greedy
-        # free-flow shape does not describe.
-        self._windows_ok = not self._exact and config.max_expansions >= 1
-        # The crossing memo needs the ledger's content version; plain
-        # sets (accepted for ad-hoc use) have none, so it stays off.
-        self._crossings_versioned = hasattr(crossings, "version")
+        # The free-flow fast path rebuilds the plan without running the
+        # search, which is only faithful when the search would at least
+        # get to its first collision probe — and never for the exact
+        # time-expanded search, whose plans the greedy free-flow shape
+        # does not describe.
+        self._free_flow_ok = not self._exact and config.max_expansions >= 1
 
     # ------------------------------------------------------------------
     # Timed wrappers around the intra-strip level
     # ------------------------------------------------------------------
     def _intra(self, strip: int, t: int, origin: int, dest: int) -> Optional[IntraPlan]:
         started = _time.perf_counter()
-        key = None
         store = self.stores[strip]
-        entries = self._cache_entries
         stats = self.stats
-        if self._windows_ok and store.cheap_scans and len(store) != 0:
-            lo_b, hi_b = (origin, dest) if origin <= dest else (dest, origin)
-            if t > store.last_end or store.band_clear(lo_b, hi_b, t, t + hi_b - lo_b):
-                # Band-index free-flow fast path — no cache involved, so
-                # it fires identically cache-on and cache-off.  Nothing
-                # stored can touch the probe rectangle (the band index
-                # certified the negative), so the greedy search's first
-                # collision probe would come back clean and it would
-                # return exactly this direct free-flow plan.
+        if self._free_flow_ok and len(store) != 0:
+            lo, hi = (origin, dest) if origin <= dest else (dest, origin)
+            if t > store.last_end or (
+                store.cheap_scans and store.band_clear(lo, hi, t, t + hi - lo)
+            ):
+                # Free-flow fast path.  Either every segment ever stored
+                # here ends before ``t`` (``last_end`` is a high-water
+                # mark, so this holds after decommit and prune too), or
+                # the band index certifies that nothing touches the
+                # probe rectangle.  The greedy search's first collision
+                # probe would come back clean and it would return
+                # exactly this direct free-flow plan.
                 stats.band_skips += 1
                 stats.intra_calls += 1
                 stats.intra_time += _time.perf_counter() - started
                 return free_flow_plan(t, origin, dest)
-        if entries is not None and (len(store) != 0 or self._exact):
-            # Planning through an empty strip is already O(1) (a single
-            # free-flow segment), so the cache only engages where there
-            # is traffic.  Layered probe order — free-flow window, then
-            # shift certificate, then the exact per-second key; every
-            # layer is checked against content versions, so a hit is
-            # never stale; see repro.core.plan_cache.
-            version = store.version
-            if not self._exact:
-                cheap = store.cheap_scans
-                if self._windows_ok and not cheap and t > store.last_end:
-                    # O(1) degenerate free-flow window: every segment
-                    # ever committed here ends before t (last_end is a
-                    # monotone high-water mark, so this is sound even
-                    # after decommit/prune), hence the uncached search
-                    # would spend one clean probe and go free-flow.
-                    stats.cache_hits += 1
-                    stats.window_hits += 1
-                    stats.intra_calls += 1
-                    elapsed = _time.perf_counter() - started
-                    stats.intra_time += elapsed
-                    stats.cache_time += elapsed
-                    return free_flow_plan(t, origin, dest)
-                if cheap or len(store) <= _CERT_STORE_MAX:
-                    # Certificates are only ever filed against small
-                    # stores (see _memoise), so skip both probes — two
-                    # tuple builds and dict gets per call — when the
-                    # store has outgrown the certification bound.
-                    # Columnar stores mint no window certificates (the
-                    # band fast path above covers free-flow), so their
-                    # window probe is skipped too.
-                    if self._windows_ok and not cheap:
-                        windows = entries.get(
-                            (WINDOW_TAG, strip, origin, dest, version)
-                        )
-                        if windows is not None:
-                            span = dest - origin if dest >= origin else origin - dest
-                            for i in range(0, len(windows), 2):
-                                if windows[i] <= t and t + span <= windows[i + 1]:
-                                    stats.cache_hits += 1
-                                    stats.window_hits += 1
-                                    stats.intra_calls += 1
-                                    elapsed = _time.perf_counter() - started
-                                    stats.intra_time += elapsed
-                                    stats.cache_time += elapsed
-                                    return free_flow_plan(t, origin, dest)
-                    skey = (SHIFT_TAG, strip, origin, dest, t)
-                    cert = entries.get(skey)
-                    if cert is not None:
-                        cert_version, horizon, signature, encoded = cert
-                        if cert_version != version:
-                            # The strip changed somewhere — but if the
-                            # band over the search's probe region reads
-                            # back the same, the search would replay
-                            # identically.
-                            lo, hi = (origin, dest) if origin <= dest else (dest, origin)
-                            if store.band_signature(lo, hi, t, horizon) == signature:
-                                # Re-stamp so the next probe is O(1) again.
-                                assert self.cache is not None
-                                self.cache.put(
-                                    skey, (version, horizon, signature, encoded)
-                                )
-                            else:
-                                encoded = None
-                        if encoded is not None:
-                            stats.cache_hits += 1
-                            stats.shift_hits += 1
-                            stats.intra_calls += 1
-                            elapsed = _time.perf_counter() - started
-                            stats.intra_time += elapsed
-                            stats.cache_time += elapsed
-                            return decode_plan(encoded)
-                    key = (strip, origin, dest, t, version)
-                # Stores past the certification bound get no per-second
-                # key either: exact keys on a congested store die on the
-                # next commit, so storing them costs encode+put per miss
-                # for almost no hits (measured well under 1%) — the call
-                # still counts as a miss below so the hit rate stays an
-                # honest fraction of cache-eligible calls.
-            else:
-                key = (strip, origin, dest, t, version)
-            if key is not None:
-                cached = entries.get(key, MISSING)
-                if cached is not MISSING:
-                    if cached is None:
-                        stats.cache_negative_hits += 1
-                        plan = None
-                    else:
-                        stats.cache_hits += 1
-                        plan = decode_plan(cached)
-                    elapsed = _time.perf_counter() - started
-                    stats.intra_time += elapsed
-                    stats.cache_time += elapsed
-                    stats.intra_calls += 1
-                    return plan
-            stats.cache_misses += 1
         if self._exact:
             plan = plan_within_strip_exact(
                 store,
@@ -412,81 +263,11 @@ class _Search:
                 max_expansions=self.config.max_expansions,
                 max_wait=self.config.max_wait,
             )
-        if key is not None:
-            self._memoise(key, store, strip, t, origin, dest, plan)
         stats.intra_time += _time.perf_counter() - started
         stats.intra_calls += 1
         if plan is not None:
             stats.intra_expansions += plan.expansions
         return plan
-
-    def _memoise(
-        self,
-        key: Tuple[int, ...],
-        store: SegmentStore,
-        strip: int,
-        t: int,
-        origin: int,
-        dest: int,
-        plan: Optional[IntraPlan],
-    ) -> None:
-        """File a fresh intra-strip result under the strongest sound key.
-
-        Failed searches only ever land under the exact per-second key
-        (nothing bounds the region a failure depends on).  Free-flow
-        results try a window certificate first; every other successful
-        plan gets a shift-invariance certificate, whose probe region
-        ``band x [t, arrival + max_wait]`` provably contains every
-        collision query the greedy search issued.
-
-        Certification itself costs a store scan (``free_window`` /
-        ``band_signature``), so ``_intra`` only files results computed
-        against stores small enough (:data:`_CERT_STORE_MAX`) that the
-        scan is about as cheap as the search it hopes to save — on
-        congested stores every key dies on the next commit, so minting
-        certificates (or even exact entries) there costs more than the
-        sub-1% hits they would ever serve.
-        """
-        cache = self.cache
-        entries = self._cache_entries
-        assert cache is not None and entries is not None  # keyed calls only
-        if plan is None or self._exact:
-            cache.put(key, None if plan is None else encode_plan(plan))
-            return
-        if plan.expansions <= 1 and self._windows_ok and store.cheap_scans:
-            # The band interval index already re-derives free-flow
-            # answers in O(log n) at probe time (the fast path in
-            # ``_intra``), with zero invalidation cost — a window
-            # certificate could only duplicate coverage the index
-            # serves for free, so columnar stores mint none.  Checked
-            # before the hint scan: this is the overwhelmingly common
-            # miss on columnar stores.
-            return
-        lo, hi = (origin, dest) if origin <= dest else (dest, origin)
-        if (
-            store.scan_cost_hint(lo, hi, t, plan.arrival_time + self.config.max_wait)
-            > _MINT_SCAN_MAX
-        ):
-            # Certification against this region would scan more entries
-            # than the hits it could plausibly serve — and a certificate
-            # minted against a region this dense dies on the next commit
-            # anyway.  Skipping minting never changes routes.
-            return
-        if plan.expansions <= 1 and self._windows_ok:
-            window = store.free_window(lo, hi, t, plan.arrival_time)
-            if window is not None:
-                wkey = (WINDOW_TAG, strip, origin, dest, store.version)
-                old = entries.get(wkey)
-                flat = window if old is None else old + window
-                if len(flat) > 8:  # keep the 4 most recent windows
-                    flat = flat[-8:]
-                cache.put(wkey, flat)
-                return
-        horizon = plan.arrival_time + self.config.max_wait
-        cache.put(
-            (SHIFT_TAG, strip, origin, dest, t),
-            (store.version, horizon, store.band_signature(lo, hi, t, horizon), encode_plan(plan)),
-        )
 
     def _plan_crossing(
         self,
@@ -501,16 +282,6 @@ class _Search:
         The robot may wait at ``from_pos`` first.  Returns the wait
         segment (or None), the crossing entry, and the arrival time at
         ``to_pos``; None when no wait length within the cap works.
-
-        Off the empty-target fast path, results are memoised against the
-        two stores' content versions plus the crossing ledger's — the
-        whole result is determined by the arrival second, so the memo
-        stores a single int (or ``None`` for a failed crossing).  The
-        memo keeps the plain :data:`_CERT_STORE_MAX` size throttle for
-        every layout: its key embeds both store versions, so against
-        congested stores it dies on the next commit and building and
-        hashing the 9-tuple per evaluation costs more than the hits it
-        could serve.
         """
         started = _time.perf_counter()
         try:
@@ -529,7 +300,6 @@ class _Search:
             ):
                 # Fast path: nothing in the target strip and no opposing
                 # crossing — step over immediately, no waiting needed.
-                # Already O(1); memoising it would only slow it down.
                 entry = CrossingEntry(
                     t + 1, from_cell, to_cell, Segment(t + 1, to_pos, t + 1, to_pos)
                 )
@@ -554,45 +324,7 @@ class _Search:
                     t + 1, from_cell, to_cell, Segment(t + 1, to_pos, t + 1, to_pos)
                 )
                 return None, entry, t + 1
-            memo_key = None
-            entries = self._cache_entries
             max_wait = self.config.max_wait
-            if (
-                entries is not None
-                and self._crossings_versioned
-                and len(to_store) <= _CERT_STORE_MAX
-                and len(from_store) <= _CERT_STORE_MAX
-            ):
-                memo_key = (
-                    CROSSING_TAG,
-                    from_strip,
-                    to_strip,
-                    t,
-                    from_pos,
-                    to_pos,
-                    from_store.version,
-                    to_store.version,
-                    getattr(self.crossings, "version"),
-                )
-                cached = entries.get(memo_key, MISSING)
-                if cached is not MISSING:
-                    self.stats.crossing_hits += 1
-                    if cached is None:
-                        return None
-                    arrival = cached
-                    wait = (
-                        make_wait(t, from_pos, arrival - 1 - t)
-                        if arrival - 1 > t
-                        else None
-                    )
-                    entry = CrossingEntry(
-                        arrival,
-                        from_cell,
-                        to_cell,
-                        Segment(arrival, to_pos, arrival, to_pos),
-                    )
-                    return wait, entry, arrival
-                self.stats.crossing_misses += 1
             if len(from_store) == 0:
                 wait_blocked = None
             else:
@@ -601,9 +333,6 @@ class _Search:
                 # wait window in one store call.
                 wait_blocked = from_store.first_occupied(from_pos, t, t + max_wait)
             if wait_blocked is not None and wait_blocked <= t:
-                if memo_key is not None:
-                    assert self.cache is not None
-                    self.cache.put(memo_key, None)
                 return None  # cannot even stand at the transit cell
             latest_leave = t + max_wait if wait_blocked is None else wait_blocked - 1
             # Batched entry scan: the first arrival second the target
@@ -615,21 +344,11 @@ class _Search:
                 # Exact boundary swap with a committed route: resume the
                 # scan one second later.
                 arrival = to_store.clear_entry_time(to_pos, arrival + 1, latest_leave + 1)
-            if arrival is not None:
-                wait = make_wait(t, from_pos, arrival - 1 - t) if arrival - 1 > t else None
-                point = Segment(arrival, to_pos, arrival, to_pos)
-                entry = CrossingEntry(arrival, from_cell, to_cell, point)
-                if memo_key is not None and arrival > t + 1:
-                    # Only delayed crossings are worth memoising: they
-                    # paid a probe loop above, while an immediate step
-                    # costs one probe — cheaper than the memo write.
-                    assert self.cache is not None
-                    self.cache.put(memo_key, arrival)
-                return wait, entry, arrival
-            if memo_key is not None:
-                assert self.cache is not None
-                self.cache.put(memo_key, None)
-            return None
+            if arrival is None:
+                return None
+            wait = make_wait(t, from_pos, arrival - 1 - t) if arrival - 1 > t else None
+            point = Segment(arrival, to_pos, arrival, to_pos)
+            return wait, CrossingEntry(arrival, from_cell, to_cell, point), arrival
         finally:
             self.stats.intra_time += _time.perf_counter() - started
 
@@ -932,14 +651,9 @@ def plan_route(
     query: Query,
     config: SearchConfig,
     stats: Optional[SearchStats] = None,
-    cache: Optional[PlanCache] = None,
     allowed: Optional[Sequence[bool]] = None,
 ) -> Optional[RoutePlan]:
     """Run Algorithm 4 for one query; read-only against the stores.
-
-    ``cache`` optionally memoises intra-strip edge-weight calls across
-    (and within) queries; see :mod:`repro.core.plan_cache`.  Results are
-    identical with and without it.
 
     ``allowed`` optionally restricts the search to a subset of strips
     (per-strip boolean mask): disallowed strips are never entered or
@@ -950,5 +664,5 @@ def plan_route(
     search fails (the caller then falls back to grid-level A*).
     """
     return _Search(
-        graph, stores, crossings, config, stats or SearchStats(), cache, allowed
+        graph, stores, crossings, config, stats or SearchStats(), allowed
     ).run(query)

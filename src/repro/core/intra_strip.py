@@ -188,3 +188,19 @@ def plan_within_strip(
     clean = [s for s in segments if not s.is_point]
     arrival = clean[-1].t1 if clean else start_time
     return IntraPlan(clean, start_time, arrival, expansions)
+
+
+def free_flow_plan(start_time: int, origin: int, destination: int) -> IntraPlan:
+    """What :func:`plan_within_strip` returns when its first probe is clean.
+
+    With at least one committed segment in the strip, a search whose
+    band is free of traffic spends exactly one collision probe
+    (``expansions == 1``) and returns the single direct move (or, for a
+    standing query, an empty segment list).  Callers that can prove the
+    band free without probing — past the store's ``last_end``, or from
+    the columnar band index — build the identical result here.
+    """
+    if origin == destination:
+        return IntraPlan([], start_time, start_time, 1)
+    move = make_move(start_time, origin, destination)
+    return IntraPlan([move], start_time, move.t1, 1)

@@ -19,10 +19,10 @@ every intra-strip search.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.core.segments import Segment
-from repro.core.store_base import FOREVER, ConflictHit, SegmentStore, _band_time_interval
+from repro.core.store_base import ConflictHit, SegmentStore
 from repro.geometry.collision import conflict_between_segments
 
 
@@ -32,7 +32,6 @@ class NaiveSegmentStore(SegmentStore):
     __slots__ = (
         "queries",
         "judged",
-        "version",
         "last_end",
         "_segments",
         "_starts",
@@ -52,7 +51,7 @@ class NaiveSegmentStore(SegmentStore):
         self._segments.insert(idx, segment)
         if segment.duration > self._max_duration:
             self._max_duration = segment.duration
-        self._bump_insert(segment)
+        self._raise_last_end(segment)
 
     def remove(self, segment: Segment) -> None:
         # All stored instances of a start time sit in one contiguous
@@ -70,7 +69,6 @@ class NaiveSegmentStore(SegmentStore):
                     self._max_duration = max(
                         (s.duration for s in self._segments), default=0
                     )
-                self._bump_version()
                 return
         raise KeyError(f"segment {segment!r} not stored")
 
@@ -97,31 +95,6 @@ class NaiveSegmentStore(SegmentStore):
     def iter_segments(self) -> Iterator[Segment]:
         return iter(self._segments)
 
-    def free_window(
-        self, lo: int, hi: int, t0: int, t1: int
-    ) -> Optional[Tuple[int, int]]:
-        # Same semantics as the base implementation, but iterating the
-        # flat list directly: this runs once per free-flow certification
-        # on the planner's hot path.
-        w_lo, w_hi = 0, FOREVER
-        for segment in self._segments:
-            interval = _band_time_interval(segment, lo, hi)
-            if interval is None:
-                continue
-            a, b = interval
-            if a <= t1 and b >= t0:
-                return None
-            if b < t0:
-                if b >= w_lo:
-                    w_lo = b + 1
-            elif a - 1 < w_hi:
-                w_hi = a - 1
-        return w_lo, w_hi
-
-    # band_signature: the base implementation already walks
-    # iter_segments in this store's candidate scan order (start time
-    # ascending, insertion order among ties).
-
     def prune(self, before: int) -> int:
         kept = [s for s in self._segments if s.t1 >= before]
         dropped = len(self._segments) - len(kept)
@@ -131,18 +104,13 @@ class NaiveSegmentStore(SegmentStore):
             # Recompute from the survivors so the candidate window does
             # not stay inflated by long-gone long segments.
             self._max_duration = max((s.duration for s in kept), default=0)
-            self._bump_version()
         return dropped
 
     def clear(self) -> None:
-        if not self._segments:
-            self.last_end = -1  # scalar reset only; nothing to invalidate
-            return
         self._segments.clear()
         self._starts.clear()
         self._max_duration = 0
         self.last_end = -1
-        self._bump_version()
 
     def __len__(self) -> int:
         return len(self._segments)

@@ -23,12 +23,10 @@ from repro.core.crossings import CrossingLedger
 from repro.core.fallback import SegmentStoreChecker, fallback_plan
 from repro.core.inter_strip import CrossingKey, RoutePlan, SearchConfig, SearchStats, plan_route
 from repro.core.naive_store import NaiveSegmentStore
-from repro.core.plan_cache import PlanCache
 from repro.core.segments import Segment
 from repro.core.slope_index import SlopeIndexedStore
 from repro.core.store_base import SegmentStore, StripStoreMap
 from repro.core.strips import StripGraph, build_strip_graph
-from repro.core.time_bucket_store import TimeBucketStore
 from repro.exceptions import InvalidQueryError, PlanningFailedError
 from repro.pathfinding.distance import StripDistanceMaps
 from repro.planner_base import Planner
@@ -42,9 +40,6 @@ class SRPStats:
 
     inter_time: float = 0.0  # srplint: allow-float perf_counter seconds, reporting only
     intra_time: float = 0.0  # srplint: allow-float perf_counter seconds, reporting only
-    #: portion of intra_time spent on plan-cache hits (certificate and
-    #: exact-key lookups that returned a result without a real search)
-    cache_time: float = 0.0  # srplint: allow-float perf_counter seconds, reporting only
     conversion_time: float = 0.0  # srplint: allow-float perf_counter seconds, reporting only
     queries: int = 0
     fallbacks: int = 0
@@ -53,23 +48,8 @@ class SRPStats:
     intra_expansions: int = 0
     strips_popped: int = 0
     edges_relaxed: int = 0
-    #: intra-strip calls answered from the plan cache (positive results,
-    #: including window and shift certificate hits)
-    cache_hits: int = 0
-    #: intra-strip calls answered from the negative cache (memoised failures)
-    cache_negative_hits: int = 0
-    #: intra-strip calls that had to run the real search
-    cache_misses: int = 0
-    #: positive hits served by a free-flow window certificate
-    window_hits: int = 0
-    #: positive hits served by a shift-invariance certificate
-    shift_hits: int = 0
-    #: boundary-crossing searches served from the crossing memo
-    crossing_hits: int = 0
-    #: boundary-crossing searches that ran the real wait loop
-    crossing_misses: int = 0
-    #: intra-strip searches answered free-flow straight from the store's
-    #: band interval index (no cache involved; works cache-off too)
+    #: intra-strip searches answered free-flow without running: past the
+    #: store's ``last_end``, or certified clear by its band index
     band_skips: int = 0
     #: recovery replans served (``replan_from`` calls, successful or not)
     replans: int = 0
@@ -93,13 +73,6 @@ class SRPStats:
     @property
     def total_time(self) -> float:
         return self.inter_time + self.intra_time + self.conversion_time
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of intra-strip calls served from the plan cache."""
-        served = self.cache_hits + self.cache_negative_hits
-        total = served + self.cache_misses
-        return served / total if total else 0.0  # srplint: allow-float reporting ratio, never fed to routes
 
     def reset(self) -> None:
         # Re-assigning a fresh instance's state (calling ``self.__init__``
@@ -140,28 +113,15 @@ class SRPPlanner(Planner):
             better routes; the Fig. 13 restriction ablation).
         intra_backward: with intra_exact, also allow backward moves
             inside strips, lifting the Fig. 13 restriction entirely.
-        store: segment store backend — "slope" (Algorithm 3, default),
-            "naive" (Section V-B) or "bucket" (time-bucketed index, an
-            extension beyond the paper).  Overrides use_slope_index.
+        store: segment store backend — "slope" (Algorithm 3, default)
+            or "naive" (Section V-B).  Overrides use_slope_index.
         store_layout: physical layout of the per-strip stores —
             "columnar" (array-backed parallel int columns with a
             per-band interval index; bit-identical to the slope index
             and the default for store="slope") or "object" (one Python object
-            per segment; the default for the other backends).
+            per segment; the default for store="naive").
             "columnar" requires store="slope" — it reproduces exactly
             that backend's semantics.
-        cache: memoise intra-strip edge-weight calls keyed by store
-            content version (see :mod:`repro.core.plan_cache`).  Routes
-            are bit-for-bit identical with the cache on or off; the
-            flag exists for ablation and the Fig. 22-style breakdown
-            (``stats.cache_hits`` / ``cache_misses``).
-        cache_size: LRU bound on memoised entries (intra-strip plans,
-            free-flow window certificates, shift certificates, crossing
-            memos).  Certificates stay valid across store-version bumps,
-            so — unlike the original per-second entries — they keep
-            paying across an entire query stream; the default is sized
-            for that.  Entries are flat int tuples, so a large bound
-            costs little beyond its resident ints.
         max_wait: cap on consecutive waiting seconds tried at one cell.
         max_expansions: per-intra-strip-search collision-query budget.
         max_start_delay: how many release-time delays to try when the
@@ -183,8 +143,6 @@ class SRPPlanner(Planner):
         intra_backward: bool = False,
         store: Optional[str] = None,
         store_layout: Optional[str] = None,
-        cache: bool = True,
-        cache_size: int = 4096,
         region: Optional[Sequence[bool]] = None,
     ) -> None:
         super().__init__()
@@ -207,7 +165,6 @@ class SRPPlanner(Planner):
         factories = {
             "slope": SlopeIndexedStore,
             "naive": NaiveSegmentStore,
-            "bucket": TimeBucketStore,
         }
         if store not in factories:
             raise ValueError(f"unknown store {store!r}; expected one of {sorted(factories)}")
@@ -242,8 +199,6 @@ class SRPPlanner(Planner):
         )
         self.max_start_delay = max_start_delay
         self.fallback_expansions = fallback_expansions
-        #: versioned memo of intra-strip edge weights (None = disabled)
-        self.plan_cache: Optional[PlanCache] = PlanCache(cache_size) if cache else None
         #: committed boundary crossings (from_cell, to_cell, arrival_time)
         self.crossings = CrossingLedger(warehouse.height, warehouse.width)
         #: strip-keyed heuristic fields for the A* fallback: one pair of
@@ -346,24 +301,15 @@ class SRPPlanner(Planner):
             query,
             self.config,
             stats,
-            self.plan_cache,
             self.region,
         )
         elapsed = _time.perf_counter() - search_started
         self.stats.intra_time += stats.intra_time
-        self.stats.cache_time += stats.cache_time
         self.stats.inter_time += max(0.0, elapsed - stats.intra_time)  # srplint: allow-float timer bookkeeping
         self.stats.intra_calls += stats.intra_calls
         self.stats.intra_expansions += stats.intra_expansions
         self.stats.strips_popped += stats.strips_popped
         self.stats.edges_relaxed += stats.edges_relaxed
-        self.stats.cache_hits += stats.cache_hits
-        self.stats.cache_negative_hits += stats.cache_negative_hits
-        self.stats.cache_misses += stats.cache_misses
-        self.stats.window_hits += stats.window_hits
-        self.stats.shift_hits += stats.shift_hits
-        self.stats.crossing_hits += stats.crossing_hits
-        self.stats.crossing_misses += stats.crossing_misses
         self.stats.band_skips += stats.band_skips
 
         if plan is not None:
@@ -409,10 +355,9 @@ class SRPPlanner(Planner):
     ) -> Optional[Route]:
         """Strip-level planning only; never runs the grid-level A* fallback.
 
-        The cheap rung of the service degradation ladder: the strip
-        search is where the plan cache and the free-flow certificates
-        live, so under steady traffic most calls are answered without a
-        real search.  Scans the release-delay window like :meth:`plan`
+        The cheap rung of the service degradation ladder: it skips the
+        grid-level A* fallback, by far the costliest step of a query.
+        Scans the release-delay window like :meth:`plan`
         (bounded by ``max_start_delay``, default the planner's own) but
         returns ``None`` instead of raising when no strip-level route
         exists within the window.  Successful routes are committed
@@ -489,10 +434,6 @@ class SRPPlanner(Planner):
         self.stores.clear()
         self.crossings.clear()
         self.distance_maps.clear()
-        # Not strictly required for correctness (store versions are
-        # never reused), but drops the memory.
-        if self.plan_cache is not None:
-            self.plan_cache.clear()
         self._commits.clear()
         self._revisions.clear()
         self._boundary_claims.clear()
@@ -655,8 +596,7 @@ class SRPPlanner(Planner):
         insertion and crossing key recorded for the query is removed (an
         exact inverse — ``remove()`` undoes one insertion, and the
         record is a multiset view of them), leaving segment stores and
-        the crossing ledger bit-identical to their pre-commit state up
-        to content versions, which bump monotonically by design.  Any
+        the crossing ledger with their pre-commit content.  Any
         outstanding boundary claims are released too.  Returns the
         number of store removals.
         """
@@ -853,16 +793,14 @@ class SRPPlanner(Planner):
         1. **decommit** — the not-yet-executed suffix (everything after
            ``now``) of the committed route is removed from the segment
            stores and the crossing ledger; segments spanning ``now`` are
-           truncated to their executed prefix.  Every removal bumps the
-           store content version, so plan-cache entries about the old
-           suffix die for free.
+           truncated to their executed prefix.
         2. **hold** — the robot's standing presence at ``cell`` from
            ``now`` until the recovered route departs is committed, so
            queries planned meanwhile route around the stopped robot.
         3. **replan** — a fresh route from ``cell`` to the original
            destination, released no earlier than ``hold_until``, found
-           by a graceful-degradation ladder: the cached/strip-level
-           search across the release-delay window, then one
+           by a graceful-degradation ladder: the strip-level search
+           across the release-delay window, then one
            expansion-bounded grid A* shot, then bounded wait-and-retry
            at coarser delays (:attr:`recovery_backoff`).
 
@@ -975,7 +913,7 @@ class SRPPlanner(Planner):
         """
         store = self.stores[origin_strip]
         release = query.release_time
-        # Rung 1: cached/strip-level search across the release-delay window.
+        # Rung 1: strip-level search across the release-delay window.
         phase = "strip"
         free_seconds: List[int] = []
         for delay in range(self.max_start_delay + 1):
@@ -1014,8 +952,7 @@ class SRPPlanner(Planner):
 
         Stored segments entirely in the future are removed; segments
         spanning ``now`` are replaced by their executed prefix.  Returns
-        the number of store removals.  Every mutation bumps content
-        versions, which keeps the plan cache exact with no extra work.
+        the number of store removals.
         """
         surviving: List[Tuple[int, Segment]] = []
         removed = 0
@@ -1112,9 +1049,8 @@ class SRPPlanner(Planner):
         return self.stores.total_segments()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cached = "on" if self.plan_cache is not None else "off"
         return (
             f"SRPPlanner(warehouse={self.warehouse.name!r}, "
             f"store={self.store_kind!r}, layout={self.store_layout!r}, "
-            f"strips={self.graph.n_vertices}, cache={cached})"
+            f"strips={self.graph.n_vertices})"
         )

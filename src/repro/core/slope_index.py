@@ -28,10 +28,10 @@ These probes are the single hottest operation of the whole planner.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.segments import Segment
-from repro.core.store_base import FOREVER, ConflictHit, SegmentStore
+from repro.core.store_base import ConflictHit, SegmentStore
 from repro.geometry.collision import conflict_between_segments
 
 _SLOPES = (0, 1, -1)
@@ -43,7 +43,6 @@ class SlopeIndexedStore(SegmentStore):
     __slots__ = (
         "queries",
         "judged",
-        "version",
         "last_end",
         "_by_start",
         "_start_keys",
@@ -99,7 +98,7 @@ class SlopeIndexedStore(SegmentStore):
         self._size += 1
         if segment.duration > self._max_durations[k]:
             self._max_durations[k] = segment.duration
-        self._bump_insert(segment)
+        self._raise_last_end(segment)
 
     def remove(self, segment: Segment) -> None:
         """Decommit one segment: undo both index entries of :meth:`insert`.
@@ -139,7 +138,6 @@ class SlopeIndexedStore(SegmentStore):
             self._max_durations[k] = max(
                 (s.duration for s in segs), default=0
             )
-        self._bump_version()
 
     # ------------------------------------------------------------------
     # Algorithm 3, "Collision Judgement"
@@ -216,50 +214,6 @@ class SlopeIndexedStore(SegmentStore):
         return False
 
     # ------------------------------------------------------------------
-    # Free-flow window certificates
-    # ------------------------------------------------------------------
-    def free_window(
-        self, lo: int, hi: int, t0: int, t1: int
-    ) -> Optional[Tuple[int, int]]:
-        # Per-slope loops with the band test inlined per slope class:
-        # waits are in the band iff their cell is, unit-slope segments
-        # iff their position range overlaps it.  Runs once per free-flow
-        # certification on the planner's hot path.
-        w_lo, w_hi = 0, FOREVER
-        for k in _SLOPES:
-            for segment in self._by_start[k]:
-                p0 = segment.p0
-                if k == 0:
-                    if p0 < lo or p0 > hi:
-                        continue
-                    a, b = segment.t0, segment.t1
-                elif k == 1:
-                    if segment.p1 < lo or p0 > hi:
-                        continue
-                    a = segment.t0 + (lo - p0 if lo > p0 else 0)
-                    b = min(segment.t0 + (hi - p0), segment.t1)
-                else:
-                    if p0 < lo or segment.p1 > hi:
-                        continue
-                    a = segment.t0 + (p0 - hi if hi < p0 else 0)
-                    b = min(segment.t0 + (p0 - lo), segment.t1)
-                if a <= t1 and b >= t0:
-                    return None
-                if b < t0:
-                    if b >= w_lo:
-                        w_lo = b + 1
-                elif a - 1 < w_hi:
-                    w_hi = a - 1
-        return w_lo, w_hi
-
-    # band_signature: the base implementation walks iter_segments below,
-    # i.e. the per-slope start-time lists in _SLOPES order — exactly the
-    # candidate scan order of earliest_conflict (the same-intercept
-    # bucket of a slope class is an order-preserving subsequence of that
-    # class's start-time list), so the inherited signature satisfies the
-    # canonical-order contract.
-
-    # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def iter_segments(self) -> Iterator[Segment]:
@@ -268,7 +222,7 @@ class SlopeIndexedStore(SegmentStore):
 
     def prune(self, before: int) -> int:
         if all(s.t1 >= before for k in _SLOPES for s in self._by_start[k]):
-            return 0  # no-op: the index (and its version) stays untouched
+            return 0  # no-op: leave the index untouched
         dropped = 0
         max_durations = {k: 0 for k in _SLOPES}
         for k in _SLOPES:
@@ -295,13 +249,9 @@ class SlopeIndexedStore(SegmentStore):
         # tight after long multiday runs instead of remembering the
         # longest segment ever stored.
         self._max_durations = max_durations
-        self._bump_version()
         return dropped
 
     def clear(self) -> None:
-        if not self._size:
-            self.last_end = -1  # scalar reset only; nothing to invalidate
-            return
         for k in _SLOPES:
             self._by_start[k].clear()
             self._start_keys[k].clear()
@@ -310,4 +260,3 @@ class SlopeIndexedStore(SegmentStore):
         self._size = 0
         self._max_durations = {k: 0 for k in _SLOPES}
         self.last_end = -1
-        self._bump_version()

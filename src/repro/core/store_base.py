@@ -7,20 +7,21 @@ by *which* segment.  Knowing the blocking segment lets the intra-strip
 search jump its waiting time directly past the obstacle instead of
 probing second by second.
 
-Two implementations exist:
+Three implementations exist:
 
 * :class:`repro.core.naive_store.NaiveSegmentStore` — Section V-B's
   ordered set with linear judgement;
 * :class:`repro.core.slope_index.SlopeIndexedStore` — Section V-D's
-  slope-based index (Algorithm 3).
+  slope-based index (Algorithm 3);
+* :class:`repro.core.columnar_store.ColumnarSegmentStore` — the slope
+  index over flat integer columns, with a per-band interval index.
 
-Both also answer point-occupancy queries, which the grid-level A*
+All also answer point-occupancy queries, which the grid-level A*
 fallback uses to stay consistent with previously committed routes.
 """
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -28,15 +29,6 @@ from repro.core.segments import Segment
 
 #: (blocked_time, blocking_segment)
 ConflictHit = Tuple[int, Segment]
-
-#: Opaque, equality-compared content fingerprint of a store region;
-#: element shape is store-specific (see :meth:`SegmentStore.band_signature`).
-BandSignature = Tuple[object, ...]
-
-#: Upper bound standing in for "no segment ever blocks this band again";
-#: free-flow windows reported by :meth:`SegmentStore.free_window` use it
-#: as their open right end.
-FOREVER = 1 << 60
 
 
 def _band_time_interval(
@@ -80,36 +72,16 @@ def _entry_clear_time(obstacle: Segment, pos: int, t_from: int) -> int:
     t_pass = (pos - obstacle.intercept) * obstacle.slope
     return max(t_from, t_pass + 1)
 
-#: Process-wide monotone source of store versions.  Every content
-#: mutation of any store takes a fresh value, so two distinct content
-#: states never share a version — even across store *instances*.  That
-#: last property is what lets :class:`StripStoreMap.prune` drop an
-#: emptied store and later materialise a fresh one for the same strip
-#: without any risk of a stale :mod:`repro.core.plan_cache` entry keyed
-#: on the old incarnation being served against the new one.
-_VERSION_COUNTER = itertools.count(1)
-
-
-def next_version() -> int:
-    """A fresh globally-unique content version.
-
-    Shared by the segment stores and the
-    :class:`repro.core.crossings.CrossingLedger` so every piece of
-    committed-traffic state draws from one monotone staleness signal.
-    """
-    return next(_VERSION_COUNTER)
-
 
 class SegmentStore(ABC):
     """Committed segments of one strip plus collision queries."""
 
     __slots__ = ()
 
-    #: True when full scans of this store are cheap enough that the
-    #: certificate layer should not throttle itself on store size (see
-    #: ``repro.core.inter_strip._CERT_STORE_MAX``).  Array-backed
-    #: layouts with an incremental band interval index set this;
-    #: object-backed layouts keep the size throttle.
+    #: True when :meth:`band_clear` answers from an index, so the
+    #: inter-strip search's free-flow fast paths are worth asking it.
+    #: Array-backed layouts with a band interval index set this;
+    #: object-backed layouts, whose ``band_clear`` always declines, do not.
     cheap_scans: bool = False
 
     def __init__(self) -> None:
@@ -117,29 +89,19 @@ class SegmentStore(ABC):
         self.queries = 0
         #: number of pairwise judgements performed (instrumentation)
         self.judged = 0
-        #: content version: changes exactly when the stored segment set
-        #: changes (insert, effective prune, effective clear).  Cache
-        #: keys derived from it are therefore never stale.
-        self.version = next(_VERSION_COUNTER)
         #: high-water mark over the end times of every segment *ever*
         #: inserted: an upper bound on the latest end among the stored
         #: segments, maintained in O(1).  ``t > last_end`` certifies the
-        #: whole strip is traffic-free from ``t`` on — the degenerate
-        #: free-flow window ``(last_end + 1, FOREVER)`` for every band —
-        #: without touching a single segment.  ``remove``/``prune`` leave
-        #: it (possibly stale-high, which only costs certificate hits,
-        #: never soundness); ``clear`` resets it.
+        #: whole strip is traffic-free from ``t`` on without touching a
+        #: single segment.  ``remove``/``prune`` leave it (possibly
+        #: stale-high, which only costs fast-path answers, never
+        #: soundness); ``clear`` resets it.
         self.last_end = -1
 
-    def _bump_version(self) -> None:
-        """Take a fresh globally-unique version after a content change."""
-        self.version = next(_VERSION_COUNTER)
-
-    def _bump_insert(self, segment: Segment) -> None:
-        """Version bump plus :attr:`last_end` upkeep, for insert paths."""
+    def _raise_last_end(self, segment: Segment) -> None:
+        """Fold a newly inserted segment's end time into :attr:`last_end`."""
         if segment.t1 > self.last_end:
             self.last_end = segment.t1
-        self.version = next(_VERSION_COUNTER)
 
     @abstractmethod
     def insert(self, segment: Segment, owner: int = -1) -> None:
@@ -168,9 +130,6 @@ class SegmentStore(ABC):
         segment that is not stored raises :class:`KeyError` — decommit
         bugs must fail loudly, silently ignoring them would desynchronise
         the stores from the surviving routes.
-
-        Bumps the content version exactly like :meth:`insert`, which is
-        what keeps :mod:`repro.core.plan_cache` entries valid for free.
         """
 
     @abstractmethod
@@ -195,66 +154,6 @@ class SegmentStore(ABC):
     @abstractmethod
     def __len__(self) -> int:
         """Number of stored segments."""
-
-    def free_window(
-        self, lo: int, hi: int, t0: int, t1: int
-    ) -> Optional[Tuple[int, int]]:
-        """Maximal time window around ``[t0, t1]`` with an empty band.
-
-        Returns ``(w_lo, w_hi)`` such that ``w_lo <= t0 <= t1 <= w_hi``
-        and *no* stored segment is inside the position band ``[lo, hi]``
-        at any time in ``[w_lo, w_hi]`` — a *free-flow certificate*: any
-        unit-speed move confined to the band whose whole time span lies
-        inside the window is provably collision-free against this store
-        state.  ``w_hi`` may be :data:`FOREVER`.  Returns ``None`` when
-        some segment enters the band during ``[t0, t1]`` itself (the
-        certificate is conservative: a segment inside the band need not
-        actually conflict with a particular move).
-
-        The window describes *this* content state; callers must key any
-        cached use of it on :attr:`version`.
-        """
-        w_lo, w_hi = 0, FOREVER
-        for segment in self.iter_segments():
-            interval = _band_time_interval(segment, lo, hi)
-            if interval is None:
-                continue
-            a, b = interval
-            if a <= t1 and b >= t0:
-                return None
-            if b < t0:
-                if b >= w_lo:
-                    w_lo = b + 1
-            elif a - 1 < w_hi:
-                w_hi = a - 1
-        return w_lo, w_hi
-
-    def band_signature(self, lo: int, hi: int, t0: int, t1: int) -> BandSignature:
-        """Canonical fingerprint of the segments able to affect probes in a region.
-
-        The region is the position band ``[lo, hi]`` crossed with the
-        time span ``[t0, t1]``.  The signature is the ordered tuple of
-        raw ``(t0, p0, t1, p1)`` tuples of every stored segment whose
-        position range and time span both intersect the region — a
-        superset of the segments any :meth:`earliest_conflict` probe
-        confined to the region could collide with.
-
-        **Contract:** the order must follow the store's own candidate
-        scan order, so that *equal* signatures on two content states
-        guarantee every probe confined to the region answers identically
-        on both — including which blocking segment is reported when two
-        candidates tie on the blocked time.  The default implementation
-        relies on :meth:`iter_segments` following that scan order;
-        stores whose scan order differs must override.
-        """
-        return tuple(
-            s.raw
-            for s in self.iter_segments()
-            if s.t0 <= t1
-            and s.t1 >= t0
-            and (s.p0 if s.p0 <= s.p1 else s.p1) <= hi
-            and (s.p0 if s.p0 >= s.p1 else s.p1) >= lo
-        )
 
     def earliest_block(self, segment: Segment) -> Optional[int]:
         """First integer time at which ``segment`` conflicts, or None."""
@@ -317,31 +216,16 @@ class SegmentStore(ABC):
         """
         return False
 
-    def scan_cost_hint(self, lo: int, hi: int, t0: int, t1: int) -> int:
-        """Upper-bound estimate of the entries a region scan would touch.
-
-        The certificate layer uses this to judge, per probe region,
-        whether minting a certificate is worth its scan; without an
-        index the store size itself is the only available bound.
-        """
-        return len(self)
-
 
 class _EmptyStore(SegmentStore):
     """Immutable empty store shared by all strips without traffic."""
 
-    __slots__ = ("queries", "judged", "version", "last_end")
+    __slots__ = ("queries", "judged", "last_end")
 
     def __init__(self) -> None:
         self.queries = 0
         self.judged = 0
         self.last_end = -1
-        # Version 0 is reserved for "no traffic at all".  Every strip
-        # without a materialised store shares it, which is sound: a
-        # planning result against an empty store depends only on the
-        # query, so such cache entries stay valid whenever the strip is
-        # (or becomes, after pruning) empty again.
-        self.version = 0
 
     def insert(self, segment: Segment, owner: int = -1) -> None:  # pragma: no cover - guarded
         raise TypeError("the shared empty store is read-only")
@@ -370,12 +254,6 @@ class _EmptyStore(SegmentStore):
     def move_blocked(self, t: int, p_from: int, p_to: int) -> bool:
         return False
 
-    def free_window(self, lo: int, hi: int, t0: int, t1: int) -> Optional[Tuple[int, int]]:
-        return 0, FOREVER
-
-    def band_signature(self, lo: int, hi: int, t0: int, t1: int) -> BandSignature:
-        return ()
-
     def first_occupied(self, pos: int, t_lo: int, t_hi: int) -> Optional[int]:
         return None
 
@@ -384,9 +262,6 @@ class _EmptyStore(SegmentStore):
 
     def band_clear(self, lo: int, hi: int, t0: int, t1: int) -> bool:
         return True
-
-    def scan_cost_hint(self, lo: int, hi: int, t0: int, t1: int) -> int:
-        return 0
 
 
 EMPTY_STORE = _EmptyStore()
@@ -412,10 +287,6 @@ class StripStoreMap:
     def __getitem__(self, idx: int) -> SegmentStore:
         return self._stores.get(idx, EMPTY_STORE)
 
-    def version_of(self, idx: int) -> int:
-        """Content version of a strip's store (0 for untouched strips)."""
-        return self._stores.get(idx, EMPTY_STORE).version
-
     def materialize(self, idx: int) -> SegmentStore:
         """The real (writable) store of a strip, created on demand."""
         store = self._stores.get(idx)
@@ -433,10 +304,7 @@ class StripStoreMap:
         """Decommit one segment from a strip's store.
 
         A store emptied by the removal is dropped, reverting the strip
-        to the shared :data:`EMPTY_STORE` (version 0) — sound for the
-        same reason :meth:`prune` may drop emptied stores: version-0
-        cache entries describe a traffic-free strip, which the strip now
-        is again.
+        to the shared :data:`EMPTY_STORE`, exactly like :meth:`prune`.
         """
         store = self._stores.get(idx)
         if store is None:
@@ -446,12 +314,8 @@ class StripStoreMap:
             del self._stores[idx]
 
     def prune(self, before: int) -> int:
-        # Dropping an emptied store reverts the strip to EMPTY_STORE
-        # (version 0), whose cache entries describe a traffic-free strip
-        # and are therefore valid again.  A later materialize() builds a
-        # brand-new store whose versions come from the global counter,
-        # so cache entries keyed on the dropped incarnation can never be
-        # resurrected.
+        # Emptied stores are dropped, reverting their strips to the
+        # shared EMPTY_STORE; a later materialize() builds a fresh one.
         dropped = 0
         for idx in list(self._stores):
             store = self._stores[idx]

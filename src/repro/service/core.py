@@ -66,7 +66,7 @@ class Rung(enum.Enum):
     """One rung of the degradation ladder, cheapest last."""
 
     FULL = "full"          # the complete SRP pipeline, internal fallback included
-    CACHED = "cached"      # strip-level search only: plan cache / free-flow friendly
+    CACHED = "cached"      # strip-level search only: no grid-level A* fallback
     FALLBACK = "fallback"  # one expansion-bounded grid-level A* shot
 
 
@@ -425,13 +425,11 @@ class ServiceCore:
         self.planner.prune(before)
 
     def stats_snapshot(self) -> Dict[str, Any]:
-        """Telemetry snapshot including the planner's cache counters."""
+        """Telemetry snapshot including the planner's own counters."""
         extra: Dict[str, Any] = {"queries": self.planner.timers.queries}
         stats = getattr(self.planner, "stats", None)
         if stats is not None:
-            extra["cache_hit_rate"] = getattr(stats, "cache_hit_rate", 0.0)
-            for name in ("cache_hits", "cache_misses", "cache_negative_hits",
-                         "fallbacks", "replans", "replan_attempts",
+            for name in ("fallbacks", "replans", "replan_attempts",
                          "decommitted_segments", "recovery_clusters",
                          "cluster_robots", "cbs_escalations",
                          "serial_fallbacks"):

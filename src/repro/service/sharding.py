@@ -7,7 +7,7 @@ aisle rows (the latitudinal strips of Algorithm 1; longitudinal strips
 never span one, so a cut splits no strip).  Each band becomes a
 *shard*: a worker process owning a region-restricted
 :class:`~repro.core.planner.SRPPlanner` — its own segment stores,
-crossing ledger and plan caches — driven over a pipe with the service's
+and crossing ledger — driven over a pipe with the service's
 strict JSON-line codec (:mod:`repro.service.protocol`).
 
 The frontend :class:`ShardedPlanner` classifies queries by the region

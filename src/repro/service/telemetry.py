@@ -136,7 +136,7 @@ class TelemetryRegistry:
         """A JSON-ready, deterministically ordered view of everything.
 
         ``extra`` merges caller-provided context (e.g. the planner's
-        plan-cache hit-rate snapshot) under the ``"planner"`` key.
+        fallback and recovery counters) under the ``"planner"`` key.
         """
         snap: Dict[str, object] = {
             "counters": {k: self.counters[k] for k in sorted(self.counters)},

@@ -218,11 +218,7 @@ class Simulation:
         )
         self.validate = validate
         #: simulated seconds between planner.prune calls; <= 0 disables
-        #: pruning entirely (stores then only grow, but no plan-cache
-        #: entries are ever invalidated by version bumps — useful when
-        #: profiling the cache in isolation).  Stores bump their content
-        #: version only when a prune actually drops segments, so a no-op
-        #: prune keeps the planner's edge-weight cache warm.
+        #: pruning entirely (stores then only grow).
         self.prune_interval = prune_interval
         #: seconds a robot spends lifting/dropping a rack between stages;
         #: also means a stage's start cell is no longer claimed by the

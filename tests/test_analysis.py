@@ -98,7 +98,7 @@ class TestDeepSizeof:
         from repro.core.slope_index import SlopeIndexedStore
         from repro.core.segments import make_move
 
-        # ``queries``/``version``/... live in the *base* class's
+        # ``queries``/``last_end``/... live in the *base* class's
         # __slots__; a walker that only reads the leaf class's slots
         # misses them (and, worse, every data column of the columnar
         # store).

@@ -175,17 +175,6 @@ class TestCommands:
 
 
 class TestPlannerVariantFlags:
-    def test_plan_with_bucket_store(self, capsys):
-        code = main(
-            [
-                "plan", "--dataset", "W-1", "--scale", "0.2",
-                "--origin", "0,0", "--dest", "8,8",
-                "--store", "bucket",
-            ]
-        )
-        assert code == 0
-        assert "16 steps" in capsys.readouterr().out
-
     def test_simulate_exact_intra(self, capsys):
         code = main(
             [

@@ -5,8 +5,8 @@ the segments a commit inserted returns a store to *bit-identical*
 internal state — not merely behavioural equivalence, but equal index
 structures — so a disturbed day leaves no residue the paper's MC metric
 or later queries could observe.  The Hypothesis suite here round-trips
-random commit/decommit interleavings against that definition for all
-three store backends.
+random commit/decommit interleavings against that definition for both
+object-backed store backends.
 """
 
 import pytest
@@ -17,17 +17,14 @@ from repro.core.naive_store import NaiveSegmentStore
 from repro.core.segments import Segment
 from repro.core.slope_index import SlopeIndexedStore
 from repro.core.store_base import EMPTY_STORE, StripStoreMap
-from repro.core.time_bucket_store import TimeBucketStore
 from repro.exceptions import PlanningFailedError, SimulationError
 
-STORES = [NaiveSegmentStore, SlopeIndexedStore, TimeBucketStore]
+STORES = [NaiveSegmentStore, SlopeIndexedStore]
 
-#: instrumentation and version counters are *expected* to drift across a
-#: round trip; everything else must match exactly
-#: slots that are not segment content: instrumentation counters, the
-#: version (monotone by design), and the last_end high-water mark
+#: slots that are not segment content and may drift across a round
+#: trip: instrumentation counters and the last_end high-water mark
 #: (deliberately stale-high after remove — see SegmentStore.last_end)
-_NON_CONTENT = {"queries", "judged", "version", "last_end"}
+_NON_CONTENT = {"queries", "judged", "last_end"}
 
 
 def state_of(store):
@@ -78,14 +75,6 @@ class TestRemoveBasics:
         assert len(store) == 0
         with pytest.raises(KeyError):
             store.remove(seg)
-
-    def test_remove_bumps_version(self, store_cls):
-        store = store_cls()
-        seg = Segment(1, 1, 3, 3)
-        store.insert(seg)
-        before = store.version
-        store.remove(seg)
-        assert store.version != before
 
     def test_remove_restores_max_duration_answers(self, store_cls):
         """Dropping the longest segment must not leave stale pruning bounds."""
@@ -156,10 +145,9 @@ class TestStripStoreMapRemove:
         stores = StripStoreMap(4, NaiveSegmentStore)
         seg = Segment(0, 0, 3, 3)
         stores.materialize(2).insert(seg)
-        assert stores.version_of(2) != 0
+        assert stores[2] is not EMPTY_STORE
         stores.remove(2, seg)
         assert stores[2] is EMPTY_STORE
-        assert stores.version_of(2) == 0
 
     def test_remove_from_untouched_strip_raises(self):
         stores = StripStoreMap(4, NaiveSegmentStore)
@@ -167,23 +155,18 @@ class TestStripStoreMapRemove:
             stores.remove(1, Segment(0, 0, 1, 1))
 
 
-class TestCrossingLedgerVersioning:
-    def test_add_and_remove_bump_version(self):
+class TestCrossingLedgerRefcounts:
+    def test_membership_follows_refcount(self):
         ledger = CrossingLedger(6, 6)
-        v0 = ledger.version
         ledger.add((1, 1), (1, 2), 5)
-        v1 = ledger.version
-        assert v1 != v0
+        assert ((1, 1), (1, 2), 5) in ledger
         # A second reference (a forced recovery commit overlapping an
-        # existing claim) is a membership no-op: version is stable and
-        # the key stays committed until the last reference is released.
+        # existing claim) keeps the key committed until the last
+        # reference is released.
         ledger.add((1, 1), (1, 2), 5)
-        assert ledger.version == v1
         ledger.remove((1, 1), (1, 2), 5)
-        assert ledger.version == v1
         assert ((1, 1), (1, 2), 5) in ledger
         ledger.remove((1, 1), (1, 2), 5)
-        assert ledger.version != v1
         assert ((1, 1), (1, 2), 5) not in ledger
 
     def test_remove_missing_raises(self):
@@ -204,26 +187,20 @@ class TestCrossingLedgerVersioning:
             ledger.remove_key(key)
         assert sorted(ledger.iter_keys()) == before
 
-    def test_prune_bumps_only_on_change(self):
+    def test_prune_counts_dropped_keys(self):
         ledger = CrossingLedger(6, 6)
         ledger.add((2, 2), (2, 3), 10)
-        v = ledger.version
         assert ledger.prune(5) == 0
-        assert ledger.version == v
+        assert ((2, 2), (2, 3), 10) in ledger
         assert ledger.prune(11) == 1
-        assert ledger.version != v
+        assert len(ledger) == 0
 
-    def test_clear_bumps_only_nonempty(self):
-        # Regression for the SRP001 restructure: the no-op path exits
-        # before any mutation; the mutating path bumps after clearing.
+    def test_clear_empties_ledger(self):
         ledger = CrossingLedger(6, 6)
-        v0 = ledger.version
         ledger.clear()
-        assert ledger.version == v0
+        assert len(ledger) == 0
         ledger.add((1, 1), (1, 2), 5)
-        v1 = ledger.version
         ledger.clear()
-        assert ledger.version != v1
         assert len(ledger) == 0 and not ledger
 
 

@@ -188,7 +188,7 @@ class TestDeterminism:
         snap = core.stats_snapshot()
         assert snap["pending"] == 0
         assert snap["trace_entries"] == len(core.trace)
-        assert "cache_hit_rate" in snap["planner"]
+        assert "fallbacks" in snap["planner"]
 
 
 class TestPriorityTiers:

@@ -1,18 +1,22 @@
-"""Tests for both segment stores: naive (V-B) and slope-indexed (V-D).
+"""Tests for the segment stores: naive (V-B), slope-indexed (V-D), columnar.
 
-The central property: on any committed segment set, both stores must
+The central property: on any committed segment set, every store must
 return exactly the same earliest-conflict answer as a brute-force scan,
-because the slope index is a pure acceleration of the naive store.
+because the slope index (in either layout) is a pure acceleration of
+the naive store.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Query, SRPPlanner
 from repro.core.columnar_store import ColumnarSegmentStore
+from repro.core.intra_strip import free_flow_plan, plan_within_strip
 from repro.core.naive_store import NaiveSegmentStore
-from repro.core.segments import Segment, make_move
+from repro.core.segments import Segment, make_move, make_wait
 from repro.core.slope_index import SlopeIndexedStore
 from repro.geometry.collision import conflict_between
+from tests.conftest import random_cells
 
 STORES = [NaiveSegmentStore, SlopeIndexedStore, ColumnarSegmentStore]
 
@@ -124,6 +128,73 @@ class TestStoreBasics:
         store.earliest_conflict(Segment(0, 5, 5, 0))
         assert store.queries == before + 1
 
+    def test_clear_on_empty_store_stays_usable(self, store_cls):
+        # clear() on an already emptied store must still reset the
+        # last_end high-water mark and leave the store usable.
+        store = store_cls()
+        store.insert(make_move(0, 0, 3))
+        store.prune(100)  # empties the store; last_end keeps its high-water
+        store.clear()
+        assert store.last_end == -1
+        store.insert(make_move(5, 0, 3))
+        assert len(store) == 1
+
+    def test_effective_clear_resets_everything(self, store_cls):
+        store = store_cls()
+        store.insert(make_move(0, 0, 4))
+        store.clear()
+        assert len(store) == 0 and store.last_end == -1
+        store.insert(make_move(2, 0, 2))
+        assert len(store) == 1
+
+
+@pytest.mark.parametrize("store_cls", STORES)
+class TestLastEnd:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        segments=st.lists(segment_strategy(), min_size=1, max_size=10),
+        origin=st.integers(0, 15),
+        dest=st.integers(0, 15),
+        offset=st.integers(1, 20),
+    )
+    def test_free_flow_plan_reproduces_search(
+        self, store_cls, segments, origin, dest, offset
+    ):
+        """Past the high-water mark the greedy search degenerates to the
+        single free-flow move — :func:`free_flow_plan` must rebuild that
+        result bit-for-bit, expansions included (the inter-strip
+        search's O(1) fast path)."""
+        store = store_cls()
+        for seg in segments:
+            store.insert(seg)
+        t = store.last_end + offset
+        searched = plan_within_strip(store, t, origin, dest)
+        built = free_flow_plan(t, origin, dest)
+        assert searched is not None
+        assert [s.raw for s in searched.segments] == [s.raw for s in built.segments]
+        assert searched.start_time == built.start_time
+        assert searched.arrival_time == built.arrival_time
+        assert searched.expansions == built.expansions
+
+    @settings(max_examples=80, deadline=None)
+    @given(segments=st.lists(segment_strategy(), min_size=1, max_size=10))
+    def test_last_end_is_an_upper_bound(self, store_cls, segments):
+        """``last_end`` dominates every live end time, exactly after
+        pure inserts, and monotonically (possibly stale-high, never
+        stale-low) across removals."""
+        store = store_cls()
+        for seg in segments:
+            store.insert(seg)
+        true_max = max(s.t1 for s in segments)
+        assert store.last_end == true_max
+        for seg in segments[: len(segments) // 2]:
+            store.remove(seg)
+        live = [s.t1 for s in store.iter_segments()]
+        assert store.last_end >= max(live, default=-1)
+        assert store.last_end == true_max  # monotone: removals never lower it
+        store.clear()
+        assert store.last_end == -1
+
 
 @pytest.mark.parametrize("store_cls", STORES)
 class TestAgainstBruteForce:
@@ -189,3 +260,55 @@ class TestSlopeIndexStructure:
         before = store.judged
         store.earliest_conflict(make_move(0, 0, 9))
         assert store.judged == before + 1
+
+
+class TestMaxDurationPruneRegression:
+    """``prune`` must shrink the candidate look-back windows again."""
+
+    def test_naive_store_shrinks_window(self):
+        store = NaiveSegmentStore()
+        store.insert(make_wait(0, 5, 30))  # duration 30
+        store.insert(make_move(40, 0, 3))
+        assert store._max_duration == 30
+        store.prune(35)  # the long wait is history
+        assert store._max_duration == 3
+
+    def test_slope_store_shrinks_per_slope_windows(self):
+        store = SlopeIndexedStore()
+        store.insert(make_wait(0, 5, 30))  # slope 0, duration 30
+        store.insert(make_move(40, 0, 6))  # slope +1, duration 6
+        store.insert(make_move(41, 9, 4))  # slope -1, duration 5
+        assert store._max_durations[0] == 30
+        store.prune(35)
+        assert store._max_durations[0] == 0
+        assert store._max_durations[1] == 6
+        assert store._max_durations[-1] == 5
+
+    def test_slope_store_windows_stay_correct_after_prune(self):
+        store = SlopeIndexedStore()
+        store.insert(make_wait(0, 5, 30))
+        store.insert(make_wait(50, 5, 4))
+        store.prune(40)
+        # The surviving wait must still be found by a query overlapping
+        # its span even though the window shrank.
+        probe = Segment(53, 5, 53, 5)
+        hit = store.earliest_conflict(probe)
+        assert hit is not None and hit[0] == 53
+
+
+class TestPlannerIntegration:
+    def test_unknown_store_rejected(self, tiny_warehouse):
+        for name in ("btree", "bucket"):
+            with pytest.raises(ValueError):
+                SRPPlanner(tiny_warehouse, store=name)
+
+    def test_backends_agree_on_totals(self, mid_warehouse):
+        cells = random_cells(mid_warehouse, 40, seed=92)
+        totals = {}
+        for store in ("slope", "naive"):
+            planner = SRPPlanner(mid_warehouse, store=store)
+            totals[store] = sum(
+                planner.plan(Query(cells[k], cells[k + 1], 9 * k, query_id=k)).duration
+                for k in range(0, 40, 2)
+            )
+        assert totals["slope"] == totals["naive"]

@@ -1,24 +1,24 @@
 """srplint — AST-level invariant checker for the SRP reproduction.
 
 The SRP planner's exactness rests on conventions that ordinary linters
-cannot see: segment-store mutations must bump the shared content version
-(or the plan cache serves stale routes), core arithmetic must stay on
-ints (bit-identity of cached vs uncached routes), planning must be
-deterministic, failures must carry diagnostics, and cache keys must
-embed store versions.  srplint encodes each of those invariants as a
+cannot see: core arithmetic must stay on ints (bit-identical routes
+across store layouts and replays), planning must be deterministic, and
+failures must carry diagnostics.  srplint encodes each of those invariants as a
 pluggable rule over the stdlib ``ast`` module — no third-party runtime
 dependencies.
 
 Rules
 -----
-SRP001  segment-store mutations must bump the content version on every
-        exit path
 SRP002  no float literals / true division / ``math.*`` float ops in
         ``core/`` and ``geometry/`` arithmetic
 SRP003  no wall-clock or unseeded nondeterminism in planning code
 SRP004  ``PlanningFailedError`` / ``SimulationError`` raises must attach
         diagnostics context
-SRP005  plan-cache keys must include a version component
+SRP006  geometry arrays must stay integer-dtyped
+
+Whole-program rules SRP007–SRP010 run under ``--project``.  SRP001
+(store version bumps) and SRP005 (versioned plan-cache keys) were
+retired together with the plan cache they protected.
 
 Run ``python -m srplint src/`` (with ``tools`` on ``PYTHONPATH``) or
 ``python tools/srplint src/``.  See ``docs/static-analysis.md``.

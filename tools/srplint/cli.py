@@ -8,7 +8,7 @@ Usage::
 
 Modes:
 
-* default — per-file rules only (SRP001–SRP006), one file at a time;
+* default — per-file rules only (SRP002–SRP006), one file at a time;
 * ``--project`` — additionally builds the whole-program index
   (:mod:`srplint.project`) once and runs the project rules
   (SRP007–SRP010: transitive determinism, acquire/release pairing,

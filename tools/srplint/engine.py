@@ -19,8 +19,10 @@ resources still acquired (a 2PC *prepare* handing claims to its
 coordinator — consumed by SRP008); ``shared(...)`` declares the named
 attributes/variables safe to touch from a thread body without a lock
 (immutable hand-off, monotonic flag — consumed by SRP009).  A pragma
-**must** carry a non-empty reason; a bare pragma is itself reported as
-``SRP000`` so that suppressions stay auditable
+**must** carry a non-empty reason, and an ``allow(CODE)`` must name a
+registered rule; a bare pragma, or one naming an unknown or retired
+rule, is itself reported as ``SRP000`` so that suppressions stay
+auditable
 (``benchmarks/check_regression.py`` surfaces the full pragma inventory
 in CI job summaries).  Project mode additionally tracks which pragmas
 actually fired, so dead suppressions are reported by
@@ -144,6 +146,13 @@ class Pragmas:
         return out
 
 
+def registered_codes() -> frozenset:
+    """Codes owned by a built-in rule: the ``allow(CODE)`` vocabulary."""
+    from srplint.rules import ALL_RULES
+
+    return frozenset(rule_cls.code for rule_cls in ALL_RULES)
+
+
 def extract_pragmas(source: str) -> Pragmas:
     """Scan *source* comments for ``# srplint:`` pragmas.
 
@@ -151,6 +160,7 @@ def extract_pragmas(source: str) -> Pragmas:
     pragma text are ignored.  Falls back to a line scan when the file
     does not tokenize (the parse error is reported separately).
     """
+    known = registered_codes()
     pragmas = Pragmas()
     comments: List[Tuple[int, int, str]] = []
     try:
@@ -182,6 +192,15 @@ def extract_pragmas(source: str) -> Pragmas:
                  f"srplint pragma '{directive}' is missing a reason")
             )
             continue
+        code = match.group("code")
+        if code is not None and code not in known:
+            # Nothing would ever consult it, so no run could report it
+            # unused either: a retired rule's pragma would linger forever.
+            pragmas.errors.append(
+                (lineno, col,
+                 f"srplint pragma '{directive}' names no registered rule")
+            )
+            continue
         if match.group("holds") is not None:
             names = _split_names(match.group("holds"))
             pragmas.holds[lineno] = pragmas.holds.get(lineno, ()) + names
@@ -189,8 +208,7 @@ def extract_pragmas(source: str) -> Pragmas:
             for name in _split_names(match.group("shared")):
                 pragmas.shared[name] = lineno
         else:
-            code = match.group("code") or "SRP002"
-            pragmas.allowed.setdefault(lineno, set()).add(code)
+            pragmas.allowed.setdefault(lineno, set()).add(code or "SRP002")
         pragmas.entries.append((lineno, directive, reason))
     return pragmas
 

@@ -4,15 +4,14 @@ Adding a rule: create ``srpNNN_<slug>.py`` exporting a
 :class:`srplint.engine.Rule` subclass (or
 :class:`srplint.engine.ProjectRule` for whole-program analyses), import
 it here, and append it to ``ALL_RULES`` — the CLI, pragma machinery,
-and fixture-test harness pick it up automatically.  See
+and fixture-test harness pick it up automatically.  Codes of retired
+rules (SRP001, SRP005) are never reused.  See
 ``docs/static-analysis.md``.
 """
 
-from srplint.rules.srp001_version_bump import SRP001VersionBump
 from srplint.rules.srp002_int_arithmetic import SRP002IntArithmetic
 from srplint.rules.srp003_determinism import SRP003Determinism
 from srplint.rules.srp004_diagnostics import SRP004Diagnostics
-from srplint.rules.srp005_cache_keys import SRP005CacheKeyVersion
 from srplint.rules.srp006_integer_dtypes import SRP006IntegerDtypes
 from srplint.rules.srp007_transitive_determinism import (
     SRP007TransitiveDeterminism,
@@ -22,11 +21,9 @@ from srplint.rules.srp009_thread_shared import SRP009ThreadSharedState
 from srplint.rules.srp010_protocol import SRP010ProtocolExhaustiveness
 
 ALL_RULES = [
-    SRP001VersionBump,
     SRP002IntArithmetic,
     SRP003Determinism,
     SRP004Diagnostics,
-    SRP005CacheKeyVersion,
     SRP006IntegerDtypes,
     SRP007TransitiveDeterminism,
     SRP008AcquireReleasePairing,
@@ -36,11 +33,9 @@ ALL_RULES = [
 
 __all__ = [
     "ALL_RULES",
-    "SRP001VersionBump",
     "SRP002IntArithmetic",
     "SRP003Determinism",
     "SRP004Diagnostics",
-    "SRP005CacheKeyVersion",
     "SRP006IntegerDtypes",
     "SRP007TransitiveDeterminism",
     "SRP008AcquireReleasePairing",

@@ -2,8 +2,8 @@
 
 Invariant: given the same queries, seeds, and store state, the planner
 must produce byte-identical routes on every run and machine — the
-regression gates, the plan-cache equivalence suites, and the fault
-injection replays (seeded ``random.Random``) all depend on it.
+regression gates, the store-layout and session-replay equivalence
+suites, and the fault injection replays (seeded ``random.Random``) all depend on it.
 
 Flagged inside ``repro/core/``, ``repro/pathfinding/``,
 ``repro/simulation/faults.py``, the battery/charging subsystem

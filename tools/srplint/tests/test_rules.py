@@ -24,20 +24,6 @@ def codes_and_lines(findings):
     return [(f.code, f.line) for f in findings]
 
 
-class TestSRP001VersionBump:
-    def test_seeded_violations_exact(self):
-        findings = [f for f in lint_fixture("srp001_bad.py") if f.code == "SRP001"]
-        assert codes_and_lines(findings) == [
-            ("SRP001", 14),  # insert: return while dirty
-            ("SRP001", 20),  # prune: conditional bump, unconditional mutation
-            ("SRP001", 26),  # clear: bump before the mutation
-            ("SRP001", 33),  # remove_via_alias: alias mutation, no bump
-        ]
-
-    def test_clean_store_shapes_accepted(self):
-        assert lint_fixture("srp001_good.py") == []
-
-
 class TestSRP002IntArithmetic:
     def test_seeded_violations_exact(self):
         findings = [f for f in lint_fixture("srp002_bad.py") if f.code == "SRP002"]
@@ -81,21 +67,6 @@ class TestSRP004Diagnostics:
     def test_contextful_reraise_and_subclass_not_flagged(self):
         lines = {f.line for f in lint_fixture("srp004_bad.py")}
         assert not lines & {12, 16, 17}
-
-
-class TestSRP005CacheKeyVersion:
-    def test_seeded_violations_exact(self):
-        findings = [f for f in lint_fixture("srp005_bad.py") if f.code == "SRP005"]
-        assert codes_and_lines(findings) == [
-            ("SRP005", 9),   # WINDOW_TAG key without version
-            ("SRP005", 14),  # CROSSING_TAG key without versions
-            ("SRP005", 19),  # SHIFT_TAG value without version stamp
-            ("SRP005", 23),  # untagged 5-tuple key without version
-        ]
-
-    def test_versioned_keys_not_flagged(self):
-        lines = {f.line for f in lint_fixture("srp005_bad.py")}
-        assert not lines & {27, 29, 32, 33}
 
 
 class TestSRP006IntegerDtypes:
@@ -149,6 +120,26 @@ class TestPragmas:
         )
         findings = run_source(source, "repro/core/x.py", rules=default_rules())
         assert findings == []
+
+    def test_unregistered_code_reported(self):
+        """A pragma no rule owns would never fire, so no run could call
+        it unused: it is a tool finding instead, like a malformed one."""
+        findings = lint_fixture("pragmas_unregistered.py")
+        assert codes_and_lines(findings) == [("SRP000", 7), ("SRP000", 11)]
+        assert all("no registered rule" in f.message for f in findings)
+
+    def test_unregistered_code_fails_pragma_audit(self, tmp_path):
+        from srplint.cli import main
+
+        mod = tmp_path / "repro" / "core" / "mod.py"
+        mod.parent.mkdir(parents=True)
+        mod.write_text(
+            (FIXTURES / "pragmas_unregistered.py").read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        assert main(
+            [str(tmp_path), "--project", "--report-unused-pragmas", "--quiet"]
+        ) == 1
 
 
 class TestEngine:
