@@ -19,11 +19,7 @@ session so the TC/MC/OG artefacts reuse the same runs.
 
 from __future__ import annotations
 
-import json
 import os
-import platform
-import subprocess
-import sys
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -45,89 +41,6 @@ from repro.simulation import SimulationResult
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 BENCH_TASKS = int(os.environ.get("REPRO_BENCH_TASKS", "200"))
 BENCH_DAY = int(os.environ.get("REPRO_BENCH_DAY", "1500"))
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: machine-readable perf trajectory, one record appended per bench run
-#: (and per PR), so performance history accumulates across the repo's
-#: growth instead of living only in commit messages.
-BENCH_HOTPATH_PATH = os.path.join(REPO_ROOT, "BENCH_hotpath.json")
-
-#: service-soak trajectory (sustained qps, latency percentiles, shed
-#: rate under overload), same schema and append discipline as above
-BENCH_SERVICE_PATH = os.path.join(REPO_ROOT, "BENCH_service.json")
-
-
-def current_commit() -> str:
-    """Short hash of the checked-out commit ("unknown" outside git).
-
-    A ``+dirty`` suffix marks runs against uncommitted changes — without
-    it, pre-commit bench records mislabel new code with the old hash.
-    """
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        commit = out.stdout.strip() or "unknown"
-        if commit != "unknown":
-            status = subprocess.run(
-                ["git", "status", "--porcelain"],
-                cwd=REPO_ROOT,
-                capture_output=True,
-                text=True,
-                timeout=10,
-            )
-            if status.stdout.strip():
-                commit += "+dirty"
-        return commit
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-
-
-def machine_fingerprint() -> str:
-    """Coarse identity of the machine producing a bench record.
-
-    qps numbers are only comparable between runs on similar hardware;
-    the regression gate (``benchmarks/check_regression.py``) hard-fails
-    only when the baseline record carries the *same* fingerprint and
-    soft-passes across machines.
-    """
-    return (
-        f"{platform.system()}-{platform.machine()}"
-        f"-cpu{os.cpu_count() or 0}"
-        f"-py{sys.version_info.major}.{sys.version_info.minor}"
-    )
-
-
-def append_bench_record(record: dict, path: str = BENCH_HOTPATH_PATH) -> str:
-    """Append one record to the perf-trajectory file and return its path.
-
-    The file is ``{"schema": 1, "records": [...]}``; a corrupt or
-    missing file is replaced rather than crashing the bench.  Records
-    lacking a ``machine`` field are stamped with the current
-    :func:`machine_fingerprint`.
-    """
-    record.setdefault("machine", machine_fingerprint())
-    data = {"schema": 1, "records": []}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                loaded = json.load(fh)
-            if isinstance(loaded, dict) and isinstance(loaded.get("records"), list):
-                data = loaded
-        except (OSError, ValueError):
-            pass
-    data["records"].append(record)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return path
 
 PLANNERS = {
     "SRP": SRPPlanner,

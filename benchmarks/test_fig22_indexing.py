@@ -13,12 +13,19 @@ import pytest
 from benchmarks.conftest import BENCH_SCALE, BENCH_TASKS
 from repro import SRPPlanner, TaskTraceSpec, datasets, generate_tasks, run_day
 from repro.analysis import format_table
+from repro.core.naive_store import NaiveSegmentStore
+from repro.core.slope_index import SlopeIndexedStore
 
 
-def _run_day_with(warehouse, tasks, use_slope_index):
-    planner = SRPPlanner(warehouse, use_slope_index=use_slope_index)
+def _run_day_with(warehouse, tasks, store, store_class):
+    # The object layout keeps the paper's stores: the columnar default
+    # of store="slope" answers from a band index and counts its
+    # judgements differently.
+    planner = SRPPlanner(warehouse, store=store, store_layout="object")
     result = run_day(warehouse, planner, tasks, measure_memory=False)
     assert result.failed_tasks == 0
+    stores = list(planner.stores)
+    assert stores and all(type(s) is store_class for s in stores)
     return planner, result
 
 
@@ -31,8 +38,8 @@ def fig22_runs():
         warehouse,
         TaskTraceSpec(n_tasks=max(120, int(1.5 * BENCH_TASKS)), day_length=600, seed=31),
     )
-    naive = _run_day_with(warehouse, tasks, use_slope_index=False)
-    indexed = _run_day_with(warehouse, tasks, use_slope_index=True)
+    naive = _run_day_with(warehouse, tasks, "naive", NaiveSegmentStore)
+    indexed = _run_day_with(warehouse, tasks, "slope", SlopeIndexedStore)
     return naive, indexed
 
 
@@ -103,7 +110,6 @@ def test_fig22b_indexing_speedup(fig22_runs, bench_header, benchmark):
 def test_benchmark_collision_judgement(benchmark):
     """Microbenchmark: one earliest-conflict query on a busy strip."""
     from repro.core.segments import make_move, make_wait
-    from repro.core.slope_index import SlopeIndexedStore
 
     store = SlopeIndexedStore()
     for k in range(200):

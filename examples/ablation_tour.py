@@ -4,7 +4,8 @@
 Runs the same online query stream through SRP variants and compares
 planning time, route quality and fallback counts:
 
-* segment store backends: slope index (Alg. 3) / naive (Sec. V-B);
+* segment store backends: slope index (Alg. 3) in the columnar
+  layout (the default) and the object layout / naive (Sec. V-B);
 * intra-strip search: greedy (Alg. 2) / exact / exact+backward
   (lifting the Fig. 13 restriction);
 * inter-strip search: A*-guided (ours) / plain Dijkstra (paper).
@@ -48,7 +49,8 @@ def main() -> None:
     print(f"{warehouse.name}: {warehouse.shape}, {len(queries)} queries\n")
 
     variants = [
-        ("slope index (default)", dict()),
+        ("slope index, columnar (default)", dict()),
+        ("slope index, object layout", dict(store_layout="object")),
         ("naive store (V-B)", dict(store="naive")),
         ("plain Dijkstra", dict(use_heuristic=False)),
         ("exact intra", dict(intra_exact=True)),

@@ -288,7 +288,12 @@ def cmd_serve(args) -> int:
         from repro.service import ShardedPlanner
 
         planner = ShardedPlanner(
-            warehouse, workers=args.workers, partition=args.partition
+            warehouse, workers=args.workers, partition=args.partition,
+            planner_kwargs={
+                "store": args.store,
+                "store_layout": args.store_layout,
+                "intra_exact": args.exact,
+            },
         )
         print(f"region-sharded: {planner.shard_count} worker process(es)",
               flush=True)

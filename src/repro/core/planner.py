@@ -102,9 +102,6 @@ class SRPPlanner(Planner):
 
     Args:
         warehouse: the warehouse to plan in.
-        use_slope_index: True selects the Algorithm 3 slope-based index
-            (Section V-D); False selects the naive ordered-set store of
-            Section V-B.  This switch drives the Fig. 22(b) ablation.
         use_heuristic: add an admissible Manhattan heuristic to the
             inter-strip search (an engineering extension over the
             paper's plain Dijkstra; effectiveness is unaffected).
@@ -113,8 +110,10 @@ class SRPPlanner(Planner):
             better routes; the Fig. 13 restriction ablation).
         intra_backward: with intra_exact, also allow backward moves
             inside strips, lifting the Fig. 13 restriction entirely.
-        store: segment store backend — "slope" (Algorithm 3, default)
-            or "naive" (Section V-B).  Overrides use_slope_index.
+        store: segment store backend — "slope" (the Algorithm 3
+            slope-based index of Section V-D, default) or "naive" (the
+            ordered-set store of Section V-B).  This switch, with
+            store_layout="object", drives the Fig. 22(b) ablation.
         store_layout: physical layout of the per-strip stores —
             "columnar" (array-backed parallel int columns with a
             per-band interval index; bit-identical to the slope index
@@ -133,7 +132,6 @@ class SRPPlanner(Planner):
     def __init__(
         self,
         warehouse: Warehouse,
-        use_slope_index: bool = True,
         use_heuristic: bool = True,
         max_wait: int = 64,
         max_expansions: int = 2000,
@@ -141,7 +139,7 @@ class SRPPlanner(Planner):
         fallback_expansions: int = 200_000,
         intra_exact: bool = False,
         intra_backward: bool = False,
-        store: Optional[str] = None,
+        store: str = "slope",
         store_layout: Optional[str] = None,
         region: Optional[Sequence[bool]] = None,
     ) -> None:
@@ -160,8 +158,6 @@ class SRPPlanner(Planner):
                 f"region mask covers {len(self.region)} strips, "
                 f"graph has {self.graph.n_vertices}"
             )
-        if store is None:
-            store = "slope" if use_slope_index else "naive"
         factories = {
             "slope": SlopeIndexedStore,
             "naive": NaiveSegmentStore,
@@ -181,7 +177,6 @@ class SRPPlanner(Planner):
             )
         self.store_kind = store
         self.store_layout = store_layout
-        self.use_slope_index = store == "slope"
         factory: Callable[[], SegmentStore] = (
             ColumnarSegmentStore if store_layout == "columnar" else factories[store]
         )

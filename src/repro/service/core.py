@@ -26,7 +26,8 @@ scheduler behaves exactly as the flat bounded FIFO it always was.
 
 **No wall clock, no randomness.**  Every method takes the current time
 as an integer-millisecond argument; the socket frontend passes real
-time, the tests and the soak harness pass a simulated clock.  Driving
+time, and the tests' :func:`~repro.service.loadgen.drive_simulated`
+passes a simulated clock.  Driving
 the same seeded arrival schedule through two fresh cores therefore
 yields identical replies, identical shed/timeout decisions and an
 identical replayable :class:`~repro.tracing.PlannerTrace` — the

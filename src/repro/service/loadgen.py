@@ -3,16 +3,13 @@
 Arrivals are *open-loop*: the schedule fixes every request's arrival
 time up front (Poisson-like gaps from a seeded RNG), and requests keep
 arriving whether or not the service keeps up — which is exactly what
-makes admission control and shedding measurable.  Three drivers share
+makes admission control and shedding measurable.  Two drivers share
 one schedule format:
 
 * :func:`drive_simulated` — fully deterministic, wall-clock-free drive
   of a :class:`~repro.service.core.ServiceCore` under a simulated
   clock with a fixed per-query planning cost.  The determinism tests
   run it twice and compare everything.
-* :func:`run_soak` — wall-clock open-loop drive of an in-process core
-  (no sockets); the soak benchmark measures sustained qps and latency
-  percentiles with it.
 * :func:`run_against_server` — a pipelining socket client for a live
   :class:`~repro.service.server.ServiceServer`; the CI smoke uses it.
 
@@ -154,109 +151,6 @@ def drive_simulated(
         elif i < len(schedule):
             now = max(now, schedule[i].arrival_ms)
     return results
-
-
-def run_soak(
-    core: ServiceCore, schedule: List[ScheduledQuery]
-) -> Tuple[List[Tuple[Request, Reply]], float]:
-    """Wall-clock open-loop drive of an in-process core (no sockets).
-
-    Arrivals are admitted when the wall clock passes their scheduled
-    time; the loop otherwise processes the queue as fast as the planner
-    allows.  Returns the answered pairs and the elapsed wall seconds.
-    """
-    results: List[Tuple[Request, Reply]] = []
-    t0 = time.perf_counter()
-    i = 0
-
-    def now_ms() -> int:
-        return int((time.perf_counter() - t0) * 1000)
-
-    while i < len(schedule) or core.pending():
-        now = now_ms()
-        while i < len(schedule) and schedule[i].arrival_ms <= now:
-            request = _request_of(schedule[i], now)
-            shed = core.submit(request, now)
-            if shed is not None:
-                results.append((request, shed))
-            i += 1
-        if core.pending():
-            pair = core.process_next(now_ms())
-            assert pair is not None
-            core.telemetry.observe(
-                "service_ms", now_ms() - pair[0].arrival_ms
-            )
-            results.append(pair)
-        elif i < len(schedule):
-            time.sleep(
-                min(0.002, max(0.0, schedule[i].arrival_ms / 1000.0 - (now / 1000.0)))
-            )
-    return results, time.perf_counter() - t0
-
-
-def run_soak_concurrent(
-    core: ServiceCore, schedule: List[ScheduledQuery], shards: int
-) -> Tuple[List[Tuple[Request, Reply]], float]:
-    """Wall-clock open-loop drive with one consumer thread per shard.
-
-    The sharded analogue of :func:`run_soak`: the main thread admits
-    arrivals on schedule while ``shards`` consumer threads each drain
-    their own shard's requests (``ServiceCore.dequeue(shard=...)``) and
-    plan concurrently — planning runs outside the state lock, exactly
-    like the server's dispatcher threads, so worker processes genuinely
-    overlap.  Requires a thread-safe planner (:class:`ShardedPlanner`).
-    Returns the answered pairs (completion order) and elapsed seconds.
-    """
-    results: List[Tuple[Request, Reply]] = []
-    state = threading.Condition()
-    admitting = True
-    t0 = time.perf_counter()
-
-    def now_ms() -> int:
-        return int((time.perf_counter() - t0) * 1000)
-
-    def consumer(shard: int) -> None:
-        while True:
-            with state:
-                item = core.dequeue(now_ms(), shard=shard)
-                if item is None:
-                    if not admitting:
-                        break
-                    state.wait(timeout=0.05)
-                    continue
-            route, rung, note = core.plan_dequeued(item)
-            done = now_ms()
-            with state:
-                reply = core.record_outcome(item, route, rung, note)
-                core.telemetry.observe(
-                    "service_ms", done - item.request.arrival_ms
-                )
-                results.append((item.request, reply))
-
-    consumers = [
-        threading.Thread(target=consumer, args=(s,), daemon=True)
-        for s in range(shards)
-    ]
-    for thread in consumers:
-        thread.start()
-    for item in schedule:
-        wait_s = item.arrival_ms / 1000.0 - (time.perf_counter() - t0)
-        if wait_s > 0:
-            time.sleep(wait_s)
-        now = now_ms()
-        request = _request_of(item, now)
-        with state:
-            shed = core.submit(request, now)
-            if shed is not None:
-                results.append((request, shed))
-            state.notify_all()
-    # Admission stopped: each consumer exits once its shard view drains.
-    with state:
-        admitting = False
-        state.notify_all()
-    for thread in consumers:
-        thread.join()
-    return results, time.perf_counter() - t0
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +344,10 @@ def smoke(args: argparse.Namespace) -> int:
 
     The CI contract: zero protocol errors, at least one shed when
     ``--expect-shed`` (the rate/queue-capacity combination must force
-    overload), every request answered, and a clean drain on shutdown.
+    overload), every request answered, at least one answered with a
+    route (``ok`` or ``degraded``; a service that sheds or fails
+    everything replies to every request too), and a clean drain on
+    shutdown.
     """
     from repro.service.core import ServiceConfig
     from repro.service.server import ServiceServer
@@ -492,6 +389,8 @@ def smoke(args: argparse.Namespace) -> int:
         failures.append(f"{report.protocol_errors} protocol error(s)")
     if report.n_replies < report.n_sent:
         failures.append(f"only {report.n_replies}/{report.n_sent} requests answered")
+    if report.count("ok") + report.count("degraded") == 0:
+        failures.append("no request was answered with a route")
     if args.expect_shed and report.count("shed") == 0:
         failures.append("no request was shed despite the overload rate")
     if not (acked and clean):

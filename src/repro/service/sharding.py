@@ -34,7 +34,7 @@ attempt schedule is fixed.  A single-worker shard (``workers=1``) is
 *bit-for-bit* the unsharded planner — the region mask is ``None`` and
 the code path identical — so recorded sessions replay exactly.  With
 K > 1, concurrent dispatch interleaves shard commits, so multi-worker
-runs are reproducible per shard but not across a wall-clock soak (see
+runs are reproducible per shard but not across wall-clock runs (see
 docs/service.md).  This module is inside srplint's SRP003 determinism
 scope: no wall clock (``perf_counter`` timer spans only), no
 randomness, no unordered-set iteration.

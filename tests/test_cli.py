@@ -173,6 +173,28 @@ class TestCommands:
         assert summary["protocol_errors"] == 0
         assert summary["server_stats"]["counters"]["admitted"] == 10
 
+    def test_serve_workers_passes_planner_flags(self, monkeypatch):
+        import repro.service
+
+        class Built(Exception):
+            pass
+
+        seen = {}
+
+        def fake_sharded(warehouse, **kwargs):
+            seen.update(kwargs)
+            raise Built  # stop before a server starts
+
+        monkeypatch.setattr(repro.service, "ShardedPlanner", fake_sharded)
+        with pytest.raises(Built):
+            main(["serve", "--dataset", "W-1", "--scale", "0.2",
+                  "--workers", "2", "--store", "naive",
+                  "--store-layout", "object", "--exact"])
+        assert seen["workers"] == 2
+        assert seen["planner_kwargs"] == {
+            "store": "naive", "store_layout": "object", "intra_exact": True,
+        }
+
 
 class TestPlannerVariantFlags:
     def test_simulate_exact_intra(self, capsys):

@@ -257,10 +257,9 @@ class TestFaultedSimulation:
             w1_small, TaskTraceSpec(n_tasks=90, day_length=450, seed=3)
         )
 
-    def test_faulted_day_is_collision_free_and_audited(self, w1_small, w1_tasks):
-        """Acceptance: a seeded faulted W-1 day completes with zero
-        validator collisions and zero store-audit violations."""
-        faults = FaultPlan.generate(
+    @pytest.fixture(scope="class")
+    def faults(self, w1_small):
+        return FaultPlan.generate(
             w1_small,
             n_robots=len(w1_small.robot_homes),
             day_length=700,
@@ -268,6 +267,12 @@ class TestFaultedSimulation:
             n_blockages=15,
             seed=5,
         )
+
+    def test_faulted_day_is_collision_free_and_audited(
+        self, w1_small, w1_tasks, faults
+    ):
+        """Acceptance: a seeded faulted W-1 day completes with zero
+        validator collisions and zero store-audit violations."""
         planner = SRPPlanner(w1_small)
         result = run_day(
             w1_small, planner, w1_tasks,
@@ -278,6 +283,29 @@ class TestFaultedSimulation:
         assert result.conflicts == []
         assert result.audit_violations == []
         assert result.completed_tasks + result.failed_tasks == len(w1_tasks)
+
+    def test_faulted_day_reproduces_bit_identically(
+        self, w1_small, w1_tasks, faults
+    ):
+        """The same seeded plan on two fresh planners replays the same
+        day under the default serial recovery."""
+        def day():
+            sim = Simulation(
+                w1_small, SRPPlanner(w1_small), w1_tasks,
+                validate=False, measure_memory=False, faults=faults,
+            )
+            result = sim.run()
+            counters = {
+                "replans": result.replans,
+                "replan_attempts": result.replan_attempts,
+                "decommitted_segments": result.decommitted_segments,
+                "makespan": result.makespan,
+            }
+            return _routes_snapshot(sim), counters
+
+        routes, counters = day()
+        assert counters["replans"] > 0, "fault plan never disturbed an executing robot"
+        assert day() == (routes, counters)
 
     def test_empty_fault_plan_is_bit_identical(self, w1_small, w1_tasks):
         def day(faults):

@@ -56,10 +56,16 @@ class TestBasics:
         assert not planner.crossings
 
 
+#: (store, store_layout) of every segment-store backend
+BACKENDS = [("slope", "columnar"), ("slope", "object"), ("naive", "object")]
+
+
 class TestCollisionFreedom:
-    @pytest.mark.parametrize("use_index", [True, False])
-    def test_random_stream_collision_free(self, mid_warehouse, use_index):
-        planner = SRPPlanner(mid_warehouse, use_slope_index=use_index)
+    @pytest.mark.parametrize(
+        "store,layout", BACKENDS, ids=["slope-columnar", "slope-object", "naive"]
+    )
+    def test_random_stream_collision_free(self, mid_warehouse, store, layout):
+        planner = SRPPlanner(mid_warehouse, store=store, store_layout=layout)
         cells = random_cells(mid_warehouse, 120, seed=7)
         routes = []
         release = 0
@@ -93,15 +99,15 @@ class TestCollisionFreedom:
         """Both store backends must produce conflict-free streams of the
         same cost profile (identical plans are not required)."""
         cells = random_cells(mid_warehouse, 60, seed=13)
-        durations = {}
-        for use_index in (True, False):
-            planner = SRPPlanner(mid_warehouse, use_slope_index=use_index)
+        durations = []
+        for store, layout in BACKENDS:
+            planner = SRPPlanner(mid_warehouse, store=store, store_layout=layout)
             total = 0
             for k in range(0, 60, 2):
                 route = planner.plan(Query(cells[k], cells[k + 1], 5 * k, query_id=k))
                 total += route.duration
-            durations[use_index] = total
-        assert durations[True] == durations[False]
+            durations.append(total)
+        assert len(set(durations)) == 1
 
 
 class TestPruning:

@@ -7,6 +7,7 @@ import socket
 import pytest
 
 from repro.core.planner import SRPPlanner
+from repro.exceptions import PlanningFailedError
 from repro.service import (
     ProtocolError,
     Reply,
@@ -14,6 +15,7 @@ from repro.service import (
     ServiceConfig,
     ServiceServer,
 )
+from repro.service import loadgen
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     decode_route,
@@ -338,3 +340,39 @@ class TestShardedServer:
         assert planner.workers_alive() == 0
         for shard in planner._shards:
             assert not shard.process.is_alive()
+
+
+class _FailingPlanner(SRPPlanner):
+    """Fails every ladder rung, so the service answers with no route."""
+
+    def plan(self, query):
+        raise PlanningFailedError("refused", query_id=query.query_id)
+
+    def plan_strip_only(self, query, max_start_delay=None):
+        return None
+
+    def plan_fallback_only(self, query, max_start_delay=None):
+        return None
+
+
+class TestLoadgenSmoke:
+    ARGS = [
+        "--self-serve", "--dataset", "W-1", "--scale", "0.2",
+        "--queries", "20", "--rate", "200", "--queue-cap", "32",
+        "--deadline-ms", "0", "--timeout", "30",
+    ]
+
+    def test_tiny_self_serve_run_passes(self, capsys):
+        assert loadgen.main(self.ARGS) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["replies"] == summary["sent"] == 20
+
+    def test_fails_when_no_request_gets_a_route(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            loadgen, "_build_planner",
+            lambda warehouse, plan_cost_ms=0, workers=0: _FailingPlanner(warehouse),
+        )
+        assert loadgen.main(self.ARGS) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["status_counts"] == {"failed": 20}
+        assert "no request was answered with a route" in captured.err

@@ -57,9 +57,10 @@ def band_cells(partition, region, limit=40):
 def store_fingerprint(planner):
     """Bit-level content of a planner's stores and crossing ledger.
 
-    Content versions are deliberately excluded: they bump monotonically
-    on every insert/remove, so an exact rollback restores the *content*
-    while the version (correctly) moves on.
+    Live segments per strip (sorted) and the ledger's crossing keys:
+    exactly what an exact rollback must restore.  The ``queries`` and
+    ``judged`` counters are left out, since they keep counting, and so
+    is ``last_end``, a high-water mark that a removal never lowers.
     """
     segments = {}
     for idx, store in planner.stores.active_items():

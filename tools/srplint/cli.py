@@ -16,8 +16,8 @@ Modes:
 
 Output: classic ``path:line:col: CODE message`` lines, ``--format
 github`` workflow-command annotations, or ``--json`` (a single object
-with findings, per-rule counts and the pragma audit — consumed by
-``benchmarks/check_regression.py`` and CI).  ``--summary PATH``
+with findings, per-rule counts and the pragma audit, for other
+tools).  ``--summary PATH``
 appends a markdown job summary (per-rule counts + pragma inventory),
 ``$GITHUB_STEP_SUMMARY``-ready.
 

@@ -23,8 +23,8 @@ attributes/variables safe to touch from a thread body without a lock
 registered rule; a bare pragma, or one naming an unknown or retired
 rule, is itself reported as ``SRP000`` so that suppressions stay
 auditable
-(``benchmarks/check_regression.py`` surfaces the full pragma inventory
-in CI job summaries).  Project mode additionally tracks which pragmas
+(``--summary`` lists the full pragma inventory in CI job summaries).
+Project mode additionally tracks which pragmas
 actually fired, so dead suppressions are reported by
 ``--report-unused-pragmas`` instead of quietly accumulating.
 """
