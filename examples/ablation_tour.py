@@ -4,8 +4,9 @@
 Runs the same online query stream through SRP variants and compares
 planning time, route quality and fallback counts:
 
-* segment store backends: slope index (Alg. 3) in the columnar
-  layout (the default) and the object layout / naive (Sec. V-B);
+* segment store backends: columnar (the default: the Alg. 3 slope
+  index over a per-band interval index) / slope (the object-layout
+  slope index) / naive (Sec. V-B);
 * intra-strip search: greedy (Alg. 2) / exact / exact+backward
   (lifting the Fig. 13 restriction);
 * inter-strip search: A*-guided (ours) / plain Dijkstra (paper).
@@ -50,7 +51,7 @@ def main() -> None:
 
     variants = [
         ("slope index, columnar (default)", dict()),
-        ("slope index, object layout", dict(store_layout="object")),
+        ("slope index, object layout", dict(store="slope")),
         ("naive store (V-B)", dict(store="naive")),
         ("plain Dijkstra", dict(use_heuristic=False)),
         ("exact intra", dict(intra_exact=True)),

@@ -51,7 +51,7 @@ def deep_sizeof(obj: Any) -> int:
             continue
         if isinstance(cur, memoryview):
             # A view is a handle; the bytes live in the exporting object
-            # (e.g. the flat column of an array-backed store).
+            # (e.g. an ``array.array`` buffer).
             total += sys.getsizeof(cur)
             stack.append(cur.obj)
             continue
@@ -68,7 +68,7 @@ def deep_sizeof(obj: Any) -> int:
             # An object can have BOTH a __dict__ and slot attributes
             # (a slotted subclass of an unslotted base), and its slots
             # can be spread across the MRO — walk all of them, or the
-            # array columns of a columnar store would go uncounted.
+            # band index of a columnar store would go uncounted.
             if hasattr(cur, "__dict__"):
                 stack.append(cur.__dict__)
             for klass in type(cur).__mro__:

@@ -33,6 +33,7 @@ from repro import (
     run_day,
 )
 from repro.analysis import format_table
+from repro.core.planner import STORES
 from repro.exceptions import (
     CollisionError,
     InvalidQueryError,
@@ -44,18 +45,15 @@ from repro.warehouse import load_warehouse
 
 PLANNER_NAMES = ("SRP", "SAP", "RP", "TWP", "ACP")
 
+STORE_HELP = (
+    "SRP segment store: columnar (default; the slope index over a per-band "
+    "interval index), slope (the object-layout slope index) or naive"
+)
 
-def _make_planner(
-    name: str,
-    warehouse,
-    store: str = "slope",
-    exact: bool = False,
-    store_layout: str | None = None,
-):
+
+def _make_planner(name: str, warehouse, store: str = "columnar", exact: bool = False):
     if name == "SRP":
-        return SRPPlanner(
-            warehouse, store=store, store_layout=store_layout, intra_exact=exact
-        )
+        return SRPPlanner(warehouse, store=store, intra_exact=exact)
     return make_baseline(name, warehouse)
 
 
@@ -111,7 +109,7 @@ def _report_failure(kind: str, exc) -> int:
 
 def cmd_plan(args) -> int:
     warehouse = _load_warehouse(args)
-    planner = _make_planner(args.planner, warehouse, args.store, args.exact, args.store_layout)
+    planner = _make_planner(args.planner, warehouse, args.store, args.exact)
     query = Query(args.origin, args.dest, args.time)
     try:
         route = planner.plan(query)
@@ -169,7 +167,7 @@ def cmd_simulate(args) -> int:
     rows = []
     for name in args.planner.split(","):
         name = name.strip().upper()
-        planner = _make_planner(name, warehouse, args.store, args.exact, args.store_layout)
+        planner = _make_planner(name, warehouse, args.store, args.exact)
         try:
             result = run_day(
                 warehouse, planner, tasks, validate=args.validate, faults=faults,
@@ -288,18 +286,13 @@ def cmd_serve(args) -> int:
         from repro.service import ShardedPlanner
 
         planner = ShardedPlanner(
-            warehouse, workers=args.workers, partition=args.partition,
-            planner_kwargs={
-                "store": args.store,
-                "store_layout": args.store_layout,
-                "intra_exact": args.exact,
-            },
+            warehouse, workers=args.workers,
+            planner_kwargs={"store": args.store, "intra_exact": args.exact},
         )
         print(f"region-sharded: {planner.shard_count} worker process(es)",
               flush=True)
     else:
-        planner = _make_planner(args.planner, warehouse, args.store, args.exact,
-                                args.store_layout)
+        planner = _make_planner(args.planner, warehouse, args.store, args.exact)
     config = ServiceConfig(
         queue_capacity=args.queue_cap,
         default_deadline_ms=args.deadline_ms,
@@ -379,10 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--dest", type=_parse_cell, required=True)
     p_plan.add_argument("--time", type=int, default=0, help="release time")
     p_plan.add_argument("--planner", default="SRP", choices=PLANNER_NAMES)
-    p_plan.add_argument("--store", default="slope", choices=("slope", "naive"),
-                        help="SRP segment-store backend")
-    p_plan.add_argument("--store-layout", default=None, choices=("object", "columnar"),
-                        help="physical store layout (default: columnar for --store slope, object otherwise)")
+    p_plan.add_argument("--store", default="columnar", choices=tuple(STORES),
+                        help=STORE_HELP)
     p_plan.add_argument("--exact", action="store_true",
                         help="use the exact intra-strip search (SRP only)")
     p_plan.add_argument("--verbose", action="store_true", help="print every grid")
@@ -395,10 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=7)
     p_sim.add_argument("--planner", default="SRP",
                        help="comma-separated planner names (default SRP)")
-    p_sim.add_argument("--store", default="slope", choices=("slope", "naive"),
-                       help="SRP segment-store backend")
-    p_sim.add_argument("--store-layout", default=None, choices=("object", "columnar"),
-                       help="physical store layout (default: columnar for --store slope, object otherwise)")
+    p_sim.add_argument("--store", default="columnar", choices=tuple(STORES),
+                       help=STORE_HELP)
     p_sim.add_argument("--exact", action="store_true",
                        help="use the exact intra-strip search (SRP only)")
     p_sim.add_argument("--validate", action="store_true",
@@ -438,11 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_world_args(p_serve)
     p_serve.add_argument("--planner", default="SRP", choices=PLANNER_NAMES)
-    p_serve.add_argument("--store", default="slope",
-                         choices=("slope", "naive"),
-                         help="SRP segment-store backend")
-    p_serve.add_argument("--store-layout", default=None, choices=("object", "columnar"),
-                         help="physical store layout (default: columnar for --store slope, object otherwise)")
+    p_serve.add_argument("--store", default="columnar", choices=tuple(STORES),
+                         help=STORE_HELP)
     p_serve.add_argument("--exact", action="store_true",
                          help="use the exact intra-strip search (SRP only)")
     p_serve.add_argument("--host", default="127.0.0.1")
@@ -460,9 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="region-shard the SRP planner across this many "
                               "worker processes (0 = classic in-process "
                               "planner)")
-    p_serve.add_argument("--partition", default="aisle", choices=("aisle",),
-                         help="region partition strategy (full-width aisle "
-                              "rows; the only strategy today)")
     p_serve.add_argument("--telemetry-log", default=None,
                          help="append a JSONL telemetry snapshot periodically")
     p_serve.add_argument("--log-interval", type=float, default=5.0,

@@ -10,9 +10,9 @@ Modules map one-to-one onto the paper's sections:
   (Section V-B);
 * :mod:`repro.core.slope_index` — slope-based segment indexing
   (Section V-D, Algorithm 3);
-* :mod:`repro.core.columnar_store` — the array-backed columnar layout
-  of the slope index (an engineering extension; routes are bit-identical
-  to the object-backed stores);
+* :mod:`repro.core.columnar_store` — the slope index answered from a
+  per-band interval index (an engineering extension and the default
+  store; routes are bit-identical to the object-backed slope index);
 * :mod:`repro.core.intra_strip` — backtracking route search within a
   strip (Section V-C, Algorithm 2);
 * :mod:`repro.core.inter_strip` — Dijkstra over the strip graph with

@@ -1,21 +1,16 @@
-"""Columnar (array-backed) segment store: the slope index over flat columns.
+"""Columnar segment store: the slope index answered from a band index.
 
 :class:`ColumnarSegmentStore` answers exactly the same queries as
 :class:`repro.core.slope_index.SlopeIndexedStore` — same blocked times,
 same reported blocking segment under ties, same ``last_end`` contract
-— but stores segments as seven parallel flat integer columns
-(``array('q')``) sorted by start time instead of one Python object per
-segment:
-
-``t0 | t1 | p0 | p1 | slope | intercept | owner``
-
-Besides the columns, every segment is indexed once per 16-cell position
-band it touches, as one :data:`BandEntry`
-``(enter, exit, t0, t1, p0, p1, slope, intercept)``: the closed time
-interval it spends inside the band followed by the segment itself.
-Each band's entries stay sorted, with a parallel prefix-max of their
-exits.  That buys three things the object-per-segment stores cannot
-offer:
+— from one per-band interval index, which is the only copy of the
+data.  Every segment is indexed once per 16-cell position band it
+touches, as one :data:`BandEntry`
+``(enter, exit, t0, t1, p0, p1, slope, intercept, seq, owner)``: the
+closed time interval it spends inside the band, the segment itself,
+its insertion sequence number and its owner.  Each band's entries stay
+sorted, with a parallel prefix-max of their exits.  That buys three
+things the object-per-segment stores cannot offer:
 
 * **O(log n) negative answers.**  :meth:`band_clear` decides "no stored
   segment touches this band during this span" with one ``bisect`` and
@@ -36,38 +31,28 @@ offer:
   :meth:`clear_entry_time` answer a whole time span per call from one
   slice scan, where the object stores replay per-second point probes.
 
+A segment touching several bands has one entry in each; counts and
+iteration take each segment from its lowest band only.
+
 Tie-break contract (must match the slope index bit-for-bit): the
 reported conflict is the minimum over candidates of the key
-``(blocked_time, class_rank, column_index)`` where ``class_rank`` is 0
-for same-slope candidates and otherwise 1 + the position of the
+``(blocked_time, class_rank, t0, seq)`` where ``class_rank`` is 0 for
+same-slope candidates and otherwise 1 + the position of the
 candidate's slope class in the slope index's fixed ``(0, 1, -1)`` scan
-order with the probe's own class skipped.  Restricting the t0-sorted
-combined columns to one slope class reproduces that class's per-slope
-list order (both are bisect-right insertion orders on ``t0``), so this
-key reproduces the slope index's "same-slope first, then classes in
-scan order, strict ``<`` within a class" selection exactly.  The band
-scans visit candidates in band order, not column order, and meet a
-segment once per band it touches, so they compare
-``(blocked_time, class_rank, t0)`` — the columns are sorted by ``t0`` —
-and resolve a tie between two *distinct* segments with equal ``t0`` by
-looking up their column indices.  Value-equal instances report the
-same obstacle, so which of them wins is unobservable.
-
-Zero-copy views and resize safety: numpy views are built with
-``np.frombuffer`` over the live ``array('q')`` buffers and cached until
-the next mutation.  CPython refuses to resize an array whose buffer is
-exported, so every mutating method drops the cached views *before*
-touching a column; query methods never let a view escape.
+order with the probe's own class skipped.  The slope index keeps each
+slope class in bisect-right insertion order on ``t0`` — that is, in
+``(t0, seq)`` order — so this key reproduces its "same-slope first,
+then classes in scan order, strict ``<`` within a class" selection
+exactly.  A segment met in two bands ties with itself, and value-equal
+instances report the same obstacle, so which of them wins is
+unobservable.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
-from numpy.typing import NDArray
 
 from repro.core.segments import Segment
 from repro.core.store_base import ConflictHit, SegmentStore, _band_time_interval
@@ -75,8 +60,8 @@ from repro.core.store_base import ConflictHit, SegmentStore, _band_time_interval
 #: Width (cells) of the position bands of the interval index.
 BAND_WIDTH = 16
 
-#: Sentinel larger than any real blocked time (times fit in well under
-#: 62 bits).
+#: Sentinel larger than any real blocked time or sequence number (both
+#: fit in well under 62 bits).
 _SENT = 1 << 62
 
 #: ``(probe_slope, candidate_slope) -> tie-break rank`` reproducing the
@@ -94,19 +79,20 @@ for _m in (-1, 0, 1):
 del _m, _k, _rank
 
 #: One per-band index entry ``(enter, exit, t0, t1, p0, p1, slope,
-#: intercept)``: the closed time interval the segment spends inside the
-#: band, then the segment itself, so band scans judge candidates without
-#: touching the columns.  Entries order by ``(enter, exit)`` first, which
-#: is all the prefix-max and ``bisect_right(entries, (t, _SENT))``
-#: contracts rely on.
-BandEntry = Tuple[int, int, int, int, int, int, int, int]
+#: intercept, seq, owner)``: the closed time interval the segment spends
+#: inside the band, the segment itself, then its insertion sequence
+#: number and owner query id.  Entries order by ``(enter, exit)`` first,
+#: which is all the prefix-max and ``bisect_right(entries, (t, _SENT))``
+#: contracts rely on; value-equal instances sit next to each other in
+#: ``seq`` order.
+BandEntry = Tuple[int, int, int, int, int, int, int, int, int, int]
 
 
-def _band_entries(segment: Segment) -> List[Tuple[int, BandEntry]]:
+def _band_entries(segment: Segment, seq: int, owner: int) -> List[Tuple[int, BandEntry]]:
     """``(band, entry)`` for every position band ``segment`` touches."""
     p0, p1 = segment.p0, segment.p1
     pmin, pmax = (p0, p1) if p0 <= p1 else (p1, p0)
-    tail = (segment.t0, segment.t1, p0, p1, segment.slope, segment.intercept)
+    tail = (segment.t0, segment.t1, p0, p1, segment.slope, segment.intercept, seq, owner)
     out: List[Tuple[int, BandEntry]] = []
     for band in range(pmin // BAND_WIDTH, pmax // BAND_WIDTH + 1):
         interval = _band_time_interval(
@@ -117,8 +103,13 @@ def _band_entries(segment: Segment) -> List[Tuple[int, BandEntry]]:
     return out
 
 
+def _home_band(entry: BandEntry) -> int:
+    """The lowest band of ``entry``'s segment, the one that counts it."""
+    return min(entry[4], entry[5]) // BAND_WIDTH
+
+
 class ColumnarSegmentStore(SegmentStore):
-    """Array-backed store, bit-compatible with the slope index.
+    """Band-indexed store, bit-compatible with the slope index.
 
     See the module docstring for the layout and the tie-break contract.
     Instrumentation note: :attr:`judged` counts the band-slice entries
@@ -130,21 +121,10 @@ class ColumnarSegmentStore(SegmentStore):
 
     cheap_scans = True
 
-    __slots__ = (
-        "queries", "judged", "last_end",
-        "_t0", "_t1", "_p0", "_p1", "_k", "_c", "_own",
-        "_bands", "_maxb", "_np",
-    )
+    __slots__ = ("queries", "judged", "last_end", "_bands", "_maxb", "_size", "_seq")
 
     def __init__(self) -> None:
         super().__init__()
-        self._t0 = array("q")
-        self._t1 = array("q")
-        self._p0 = array("q")
-        self._p1 = array("q")
-        self._k = array("q")
-        self._c = array("q")
-        self._own = array("q")
         #: band index -> sorted entries of the segments touching the band
         self._bands: Dict[int, List[BandEntry]] = {}
         #: band index -> prefix maxima of the exits in ``_bands[band]``
@@ -152,36 +132,17 @@ class ColumnarSegmentStore(SegmentStore):
         #: so "any interval overlapping [t0, t1]?" is one bisect + one
         #: comparison instead of a scan
         self._maxb: Dict[int, List[int]] = {}
-        #: cached zero-copy int64 views of the columns (dropped on mutation)
-        self._np: Optional[Tuple[NDArray[np.int64], ...]] = None
-
-    # ------------------------------------------------------------------
-    # views
-    def _views(self) -> Tuple[NDArray[np.int64], ...]:
-        views = self._np
-        if views is None:
-            views = tuple(
-                np.frombuffer(col, dtype=np.int64)
-                for col in (self._t0, self._t1, self._p0, self._p1,
-                            self._k, self._c, self._own)
-            )
-            self._np = views
-        return views
+        #: stored segments, value-equal instances counted separately
+        self._size = 0
+        #: sequence number of the next inserted segment
+        self._seq = 0
 
     # ------------------------------------------------------------------
     # mutation
     def insert(self, segment: Segment, owner: int = -1) -> None:
-        self._np = None  # release buffer exports before resizing
-        t0 = segment.t0
-        idx = bisect_right(self._t0, t0)
-        self._t0.insert(idx, t0)
-        self._t1.insert(idx, segment.t1)
-        self._p0.insert(idx, segment.p0)
-        self._p1.insert(idx, segment.p1)
-        self._k.insert(idx, segment.slope)
-        self._c.insert(idx, segment.intercept)
-        self._own.insert(idx, owner)
-        for band, entry in _band_entries(segment):
+        seq = self._seq
+        self._seq = seq + 1
+        for band, entry in _band_entries(segment, seq, owner):
             entries = self._bands.get(band)
             if entries is None:
                 self._bands[band] = [entry]
@@ -203,33 +164,20 @@ class ColumnarSegmentStore(SegmentStore):
                         maxb[j] = exit_t
                     else:
                         break
+        self._size += 1
         self._raise_last_end(segment)
 
     def remove(self, segment: Segment) -> None:
-        t0 = segment.t0
-        lo = bisect_left(self._t0, t0)
-        hi = bisect_right(self._t0, t0, lo)
-        found = -1
-        for i in range(lo, hi):
-            if (
-                self._t1[i] == segment.t1
-                and self._p0[i] == segment.p0
-                and self._p1[i] == segment.p1
-            ):
-                found = i  # keep scanning: drop the *last* equal instance
-        if found < 0:
-            raise KeyError(f"segment {segment!r} not stored")
-        self._np = None  # release buffer exports before resizing
-        del self._t0[found]
-        del self._t1[found]
-        del self._p0[found]
-        del self._p1[found]
-        del self._k[found]
-        del self._c[found]
-        del self._own[found]
-        for band, entry in _band_entries(segment):
-            entries = self._bands[band]
-            at = bisect_left(entries, entry)
+        # Value-equal instances share their bands and intervals, so in
+        # every band they form one run ordered by ``seq``; a probe with
+        # ``seq = _SENT`` bisects to just past the run, whose last entry
+        # is the latest-inserted instance.  Each instance sits in all of
+        # its bands, so only the first band can miss.
+        for band, probe in _band_entries(segment, _SENT, -1):
+            entries = self._bands.get(band, [])
+            at = bisect_left(entries, probe) - 1
+            if at < 0 or entries[at][:8] != probe[:8]:
+                raise KeyError(f"segment {segment!r} not stored")
             entries.pop(at)
             maxb = self._maxb[band]
             maxb.pop()
@@ -243,60 +191,44 @@ class ColumnarSegmentStore(SegmentStore):
                     if end > run:
                         run = end
                     maxb[j] = run
+        self._size -= 1
 
     def prune(self, before: int) -> int:
-        n = len(self._t0)
-        if n == 0:
-            return 0
-        keep = [i for i in range(n) if self._t1[i] >= before]
-        dropped = n - len(keep)
-        if dropped == 0:
-            return 0
-        self._np = None  # old columns die with their buffer exports
-        self._t0 = array("q", [self._t0[i] for i in keep])
-        self._t1 = array("q", [self._t1[i] for i in keep])
-        self._p0 = array("q", [self._p0[i] for i in keep])
-        self._p1 = array("q", [self._p1[i] for i in keep])
-        self._k = array("q", [self._k[i] for i in keep])
-        self._c = array("q", [self._c[i] for i in keep])
-        self._own = array("q", [self._own[i] for i in keep])
-        self._bands = {}
-        for segment in self.iter_segments():
-            for band, entry in _band_entries(segment):
-                self._bands.setdefault(band, []).append(entry)
-        self._maxb = {}
-        for band, entries in self._bands.items():
-            entries.sort()
-            run = -1
-            maxb = []
-            for entry in entries:
-                if entry[1] > run:
-                    run = entry[1]
-                maxb.append(run)
-            self._maxb[band] = maxb
+        dropped = 0
+        for band in list(self._bands):
+            entries = self._bands[band]
+            kept = [entry for entry in entries if entry[3] >= before]
+            if len(kept) == len(entries):
+                continue
+            dropped += sum(
+                1 for entry in entries
+                if entry[3] < before and _home_band(entry) == band
+            )
+            if kept:
+                self._bands[band] = kept
+                self._maxb[band] = list(accumulate((entry[1] for entry in kept), max))
+            else:
+                del self._bands[band]
+                del self._maxb[band]
+        self._size -= dropped
         return dropped
 
     def clear(self) -> None:
-        self._np = None
-        self._t0 = array("q")
-        self._t1 = array("q")
-        self._p0 = array("q")
-        self._p1 = array("q")
-        self._k = array("q")
-        self._c = array("q")
-        self._own = array("q")
         self._bands = {}
         self._maxb = {}
+        self._size = 0
         self.last_end = -1
 
     # ------------------------------------------------------------------
     # queries
     def __len__(self) -> int:
-        return len(self._t0)
+        return self._size
 
     def iter_segments(self) -> Iterator[Segment]:
-        for i in range(len(self._t0)):
-            yield Segment(self._t0[i], self._p0[i], self._t1[i], self._p1[i])
+        for band, entries in self._bands.items():
+            for entry in entries:
+                if _home_band(entry) == band:
+                    yield Segment(entry[2], entry[4], entry[3], entry[5])
 
     def band_clear(self, lo: int, hi: int, t0: int, t1: int) -> bool:
         """True when *no* stored segment touches band [lo, hi] in [t0, t1].
@@ -323,7 +255,7 @@ class ColumnarSegmentStore(SegmentStore):
 
     def earliest_conflict(self, segment: Segment) -> Optional[ConflictHit]:
         self.queries += 1
-        if len(self._t0) == 0 or segment.t0 > self.last_end:
+        if not self._size or segment.t0 > self.last_end:
             return None
         qt0, qt1 = segment.t0, segment.t1
         p0, p1 = segment.p0, segment.p1
@@ -335,7 +267,7 @@ class ColumnarSegmentStore(SegmentStore):
         best: Optional[BandEntry] = None
         for band in range(pmin // BAND_WIDTH, pmax // BAND_WIDTH + 1):
             for entry in self._band_slice(band, qt0, qt1):
-                _enter, exit_t, ot0, ot1, _op0, _op1, k, c = entry
+                _enter, exit_t, ot0, ot1, _op0, _op1, k, c, seq, _owner = entry
                 if exit_t < qt0:
                     continue
                 judged += 1
@@ -370,7 +302,7 @@ class ColumnarSegmentStore(SegmentStore):
                     or cand < best_t
                     or (cand == best_t and (
                         rank < best_rank
-                        or (rank == best_rank and self._precedes(entry, best))
+                        or (rank == best_rank and (ot0, seq) < (best[2], best[8]))
                     ))
                 ):
                     best_t, best_rank, best = cand, rank, entry
@@ -378,29 +310,6 @@ class ColumnarSegmentStore(SegmentStore):
         if best is None:
             return None
         return best_t, Segment(best[2], best[4], best[3], best[5])
-
-    def _precedes(self, a: BandEntry, b: BandEntry) -> bool:
-        """True when ``a``'s segment sits before ``b``'s in column order.
-
-        Columns are sorted by ``t0``; only distinct segments sharing a
-        ``t0`` need their column indices looked up.  Value-equal
-        segments (the same segment seen from two bands, or a stored
-        duplicate) never precede each other.
-        """
-        if a[2] != b[2]:
-            return a[2] < b[2]
-        if a[3:6] == b[3:6]:
-            return False
-        return self._column_index(a) < self._column_index(b)
-
-    def _column_index(self, entry: BandEntry) -> int:
-        """Lowest column index holding ``entry``'s segment."""
-        t1a, p0a, p1a = self._t1, self._p0, self._p1
-        _enter, _exit, t0, t1, p0, p1, _k, _c = entry
-        i = bisect_left(self._t0, t0)
-        while t1a[i] != t1 or p0a[i] != p0 or p1a[i] != p1:
-            i += 1
-        return i
 
     def _band_slice(self, band: int, t_lo: int, t_hi: int) -> List[BandEntry]:
         """Entries of ``band`` that can sit in it during [t_lo, t_hi].
@@ -425,12 +334,12 @@ class ColumnarSegmentStore(SegmentStore):
     # batched occupancy scans
     def first_occupied(self, pos: int, t_lo: int, t_hi: int) -> Optional[int]:
         self.queries += 1
-        if t_hi < t_lo or len(self._t0) == 0 or t_lo > self.last_end:
+        if t_hi < t_lo or not self._size or t_lo > self.last_end:
             # last_end is a monotone high-water mark over every stored
             # t1, so nothing can occupy any cell after it.
             return None
         best = _SENT
-        for _enter, exit_t, t0, t1, p0, _p1, k, c in self._band_slice(
+        for _enter, exit_t, t0, t1, p0, _p1, k, c, _seq, _owner in self._band_slice(
             pos // BAND_WIDTH, t_lo, t_hi
         ):
             if exit_t < t_lo:
@@ -453,10 +362,10 @@ class ColumnarSegmentStore(SegmentStore):
         self.queries += 1
         if t_from > t_cap:
             return None
-        if len(self._t0) == 0 or t_from > self.last_end:
+        if not self._size or t_from > self.last_end:
             return t_from
         intervals: List[Tuple[int, int]] = []
-        for _enter, exit_t, t0, t1, p0, _p1, k, c in self._band_slice(
+        for _enter, exit_t, t0, t1, p0, _p1, k, c, _seq, _owner in self._band_slice(
             pos // BAND_WIDTH, t_from, t_cap
         ):
             if exit_t < t_from:
@@ -492,14 +401,14 @@ class ColumnarSegmentStore(SegmentStore):
         """Sorted distinct owner query-ids with a segment alive in [t0, t1].
 
         Owners are recorded by :meth:`insert`; unattributed segments
-        (owner -1, e.g. blockages) are excluded.  Advisory: value-equal
-        segments from different owners are indistinguishable to
-        remove-by-value, so after decommits of duplicated segments the
-        surviving attribution may name either owner.
+        (owner -1, e.g. blockages) are excluded.  Advisory: remove-by-
+        value drops the latest-inserted value-equal instance whoever
+        owns it, so after decommits of duplicated segments the surviving
+        attribution may name the other owner.
         """
-        if len(self._t0) == 0:
-            return []
-        views = self._views()
-        mask = (views[0] <= t1) & (views[1] >= t0) & (views[6] >= 0)
-        owners = {int(o) for o in views[6][mask].tolist()}
-        return sorted(owners)
+        return sorted({
+            entry[9]
+            for entries in self._bands.values()
+            for entry in entries
+            if entry[9] >= 0 and entry[2] <= t1 and entry[3] >= t0
+        })

@@ -36,10 +36,7 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 from repro.core.intra_strip import IntraPlan, free_flow_plan, plan_within_strip
 from repro.core.intra_strip_exact import plan_within_strip_exact
 from repro.core.segments import Segment, make_wait
-# _entry_clear_time moved to store_base (the batched occupancy scans
-# need it); re-exported here for its long-standing import path.
 from repro.core.store_base import SegmentStore
-from repro.core.store_base import _entry_clear_time as _entry_clear_time
 from repro.core.strips import StripGraph
 from repro.types import Grid, Query, manhattan
 

@@ -34,6 +34,14 @@ from repro.types import Grid, Query, Route, concatenate_routes
 from repro.warehouse.matrix import Warehouse
 
 
+#: ``SRPPlanner(store=...)`` name -> segment store class
+STORES: Dict[str, Callable[[], SegmentStore]] = {
+    "columnar": ColumnarSegmentStore,
+    "slope": SlopeIndexedStore,
+    "naive": NaiveSegmentStore,
+}
+
+
 @dataclass
 class SRPStats:
     """Per-planner counters; times in seconds (Fig. 22 breakdown)."""
@@ -61,14 +69,6 @@ class SRPStats:
     #: ``decommitted_segments`` this is the recovery-efficiency metric
     #: the serial-vs-joint comparison is judged on.
     replan_attempts: int = 0
-    #: conflict clusters recovered jointly (``recovery="joint"`` runs)
-    recovery_clusters: int = 0
-    #: robots that went through joint cluster recovery
-    cluster_robots: int = 0
-    #: clusters escalated to CBS after prioritised replanning failed
-    cbs_escalations: int = 0
-    #: clusters that fell back to the serial hold-and-replan ladder
-    serial_fallbacks: int = 0
 
     @property
     def total_time(self) -> float:
@@ -110,17 +110,13 @@ class SRPPlanner(Planner):
             better routes; the Fig. 13 restriction ablation).
         intra_backward: with intra_exact, also allow backward moves
             inside strips, lifting the Fig. 13 restriction entirely.
-        store: segment store backend — "slope" (the Algorithm 3
-            slope-based index of Section V-D, default) or "naive" (the
-            ordered-set store of Section V-B).  This switch, with
-            store_layout="object", drives the Fig. 22(b) ablation.
-        store_layout: physical layout of the per-strip stores —
-            "columnar" (array-backed parallel int columns with a
-            per-band interval index; bit-identical to the slope index
-            and the default for store="slope") or "object" (one Python object
-            per segment; the default for store="naive").
-            "columnar" requires store="slope" — it reproduces exactly
-            that backend's semantics.
+        store: segment store backend — "columnar" (the default: the
+            Algorithm 3 slope index answered from a per-band interval
+            index), "slope" (the slope-based index of Section V-D, one
+            Python object per segment) or "naive" (the ordered-set
+            store of Section V-B).  "columnar" and "slope" plan
+            bit-identical routes; "slope" versus "naive" drives the
+            Fig. 22(b) ablation.
         max_wait: cap on consecutive waiting seconds tried at one cell.
         max_expansions: per-intra-strip-search collision-query budget.
         max_start_delay: how many release-time delays to try when the
@@ -139,8 +135,7 @@ class SRPPlanner(Planner):
         fallback_expansions: int = 200_000,
         intra_exact: bool = False,
         intra_backward: bool = False,
-        store: str = "slope",
-        store_layout: Optional[str] = None,
+        store: str = "columnar",
         region: Optional[Sequence[bool]] = None,
     ) -> None:
         super().__init__()
@@ -158,33 +153,14 @@ class SRPPlanner(Planner):
                 f"region mask covers {len(self.region)} strips, "
                 f"graph has {self.graph.n_vertices}"
             )
-        factories = {
-            "slope": SlopeIndexedStore,
-            "naive": NaiveSegmentStore,
-        }
-        if store not in factories:
-            raise ValueError(f"unknown store {store!r}; expected one of {sorted(factories)}")
-        if store_layout is None:
-            store_layout = "columnar" if store == "slope" else "object"
-        if store_layout not in ("object", "columnar"):
-            raise ValueError(
-                f"unknown store_layout {store_layout!r}; expected 'object' or 'columnar'"
-            )
-        if store_layout == "columnar" and store != "slope":
-            raise ValueError(
-                "store_layout='columnar' implements the slope-index semantics; "
-                "combine it with store='slope' (or pick store_layout='object')"
-            )
+        factory = STORES.get(store)
+        if factory is None:
+            raise ValueError(f"unknown store {store!r}; expected one of {sorted(STORES)}")
         self.store_kind = store
-        self.store_layout = store_layout
-        factory: Callable[[], SegmentStore] = (
-            ColumnarSegmentStore if store_layout == "columnar" else factories[store]
-        )
-        self._store_factory = factory
         # Lazy map: strips without traffic share one empty store, so the
         # planner's resident state scales with live routes, not with
         # warehouse size (this is the MC story of Figs. 19-21).
-        self.stores = StripStoreMap(self.graph.n_vertices, self._store_factory)
+        self.stores = StripStoreMap(self.graph.n_vertices, factory)
         self.config = SearchConfig(
             max_expansions=max_expansions,
             max_wait=max_wait,
@@ -1046,6 +1022,6 @@ class SRPPlanner(Planner):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SRPPlanner(warehouse={self.warehouse.name!r}, "
-            f"store={self.store_kind!r}, layout={self.store_layout!r}, "
+            f"store={self.store_kind!r}, "
             f"strips={self.graph.n_vertices})"
         )

@@ -14,7 +14,7 @@ Three implementations exist:
 * :class:`repro.core.slope_index.SlopeIndexedStore` — Section V-D's
   slope-based index (Algorithm 3);
 * :class:`repro.core.columnar_store.ColumnarSegmentStore` — the slope
-  index over flat integer columns, with a per-band interval index.
+  index answered from a per-band interval index.
 
 All also answer point-occupancy queries, which the grid-level A*
 fallback uses to stay consistent with previously committed routes.
@@ -80,8 +80,8 @@ class SegmentStore(ABC):
 
     #: True when :meth:`band_clear` answers from an index, so the
     #: inter-strip search's free-flow fast paths are worth asking it.
-    #: Array-backed layouts with a band interval index set this;
-    #: object-backed layouts, whose ``band_clear`` always declines, do not.
+    #: The band-indexed columnar store sets this; the object-backed
+    #: stores, whose ``band_clear`` always declines, do not.
     cheap_scans: bool = False
 
     def __init__(self) -> None:
@@ -283,6 +283,10 @@ class StripStoreMap:
         self._n = n_strips
         self._factory = factory
         self._stores: Dict[int, SegmentStore] = {}
+        #: ``queries`` / ``judged`` of the stores dropped since the last
+        #: :meth:`clear`, so the totals outlive the stores that earned them
+        self._dropped_queries = 0
+        self._dropped_judged = 0
 
     def __getitem__(self, idx: int) -> SegmentStore:
         return self._stores.get(idx, EMPTY_STORE)
@@ -311,7 +315,7 @@ class StripStoreMap:
             raise KeyError(f"segment {segment!r} not stored (strip {idx} has no traffic)")
         store.remove(segment)
         if len(store) == 0:
-            del self._stores[idx]
+            self._drop(idx)
 
     def prune(self, before: int) -> int:
         # Emptied stores are dropped, reverting their strips to the
@@ -321,11 +325,29 @@ class StripStoreMap:
             store = self._stores[idx]
             dropped += store.prune(before)
             if len(store) == 0:
-                del self._stores[idx]
+                self._drop(idx)
         return dropped
+
+    def _drop(self, idx: int) -> None:
+        """Forget an emptied store, folding its counters into the totals."""
+        store = self._stores.pop(idx)
+        self._dropped_queries += store.queries
+        self._dropped_judged += store.judged
 
     def clear(self) -> None:
         self._stores.clear()
+        self._dropped_queries = 0
+        self._dropped_judged = 0
+
+    @property
+    def queries(self) -> int:
+        """``queries`` of every store since the last :meth:`clear`, dropped ones included."""
+        return self._dropped_queries + sum(s.queries for s in self._stores.values())
+
+    @property
+    def judged(self) -> int:
+        """``judged`` of every store since the last :meth:`clear`, dropped ones included."""
+        return self._dropped_judged + sum(s.judged for s in self._stores.values())
 
     def total_segments(self) -> int:
         return sum(len(s) for s in self._stores.values())

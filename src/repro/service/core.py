@@ -170,13 +170,15 @@ class Dequeued:
 
 
 def plan_at_rung(planner: Planner, query: Query, rung: Rung,
-                 degraded_start_delay: int = 8) -> Optional[Route]:
+                 degraded_start_delay: Optional[int] = 8) -> Optional[Route]:
     """Plan ``query`` at exactly one ladder rung; ``None`` when it fails.
 
-    Planners without the SRP rung methods (baselines, wrappers) serve
-    every rung with their plain :meth:`~repro.planner_base.Planner.plan`
-    — degradation then changes nothing but the reply tag, which keeps
-    the service generic over the planner zoo.
+    ``degraded_start_delay`` bounds the release-delay window of the two
+    degraded rungs; ``None`` keeps the planner's own window.  Planners
+    without the SRP rung methods (baselines, wrappers) serve every rung
+    with their plain :meth:`~repro.planner_base.Planner.plan` —
+    degradation then changes nothing but the reply tag, which keeps the
+    service generic over the planner zoo.
     """
     if rung is Rung.CACHED:
         strip_only = getattr(planner, "plan_strip_only", None)
@@ -431,9 +433,7 @@ class ServiceCore:
         stats = getattr(self.planner, "stats", None)
         if stats is not None:
             for name in ("fallbacks", "replans", "replan_attempts",
-                         "decommitted_segments", "recovery_clusters",
-                         "cluster_robots", "cbs_escalations",
-                         "serial_fallbacks"):
+                         "decommitted_segments"):
                 extra[name] = int(getattr(stats, name, 0) or 0)
         snap = self.telemetry.snapshot(extra=extra)
         snap["pending"] = self.pending()

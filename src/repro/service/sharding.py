@@ -54,6 +54,7 @@ from repro.core.planner import SRPPlanner
 from repro.core.strips import StripGraph, build_strip_graph
 from repro.exceptions import InvalidQueryError, PlanningFailedError
 from repro.planner_base import Planner
+from repro.service.core import Rung, plan_at_rung
 from repro.service.protocol import (
     ProtocolError,
     decode_route,
@@ -191,24 +192,6 @@ def compute_partition(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _plan_rung(
-    planner: SRPPlanner, query: Query, rung: str, delay: Optional[int]
-) -> Optional[Route]:
-    """One ladder rung against a worker's planner; None when it fails."""
-    if rung == "cached":
-        if delay is None:
-            return planner.plan_strip_only(query)
-        return planner.plan_strip_only(query, max_start_delay=delay)
-    if rung == "fallback":
-        if delay is None:
-            return planner.plan_fallback_only(query)
-        return planner.plan_fallback_only(query, max_start_delay=delay)
-    try:
-        return planner.plan(query)
-    except PlanningFailedError:
-        return None
-
-
 class ShardWorker:
     """The transport-agnostic core of one region worker.
 
@@ -263,6 +246,16 @@ class ShardWorker:
             int(msg.get("id", -1)),
         )
 
+    def _plan_leg(self, query: Query, msg: Dict[str, Any]) -> Optional[Route]:
+        """Plan ``query`` at the message's rung; ``None`` when it fails.
+
+        An unknown rung name raises :class:`ValueError`, which
+        :meth:`handle` turns into a structured error reply.
+        """
+        rung = Rung(str(msg.get("rung", "full")))
+        delay = msg.get("delay")
+        return plan_at_rung(self.planner, query, rung, None if delay is None else int(delay))
+
     def _op_ping(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         return {"status": "ok", "shard": self.shard_id}
 
@@ -270,12 +263,7 @@ class ShardWorker:
         return {"status": "ok", "shard": self.shard_id}
 
     def _op_plan(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        query = self._query_of(msg)
-        delay = msg.get("delay")
-        route = _plan_rung(
-            self.planner, query, str(msg.get("rung", "full")),
-            None if delay is None else int(delay),
-        )
+        route = self._plan_leg(self._query_of(msg), msg)
         if route is None:
             return {"status": "failed", "note": "no route at this rung"}
         return {"status": "ok", "route": encode_route(route)}
@@ -293,10 +281,8 @@ class ShardWorker:
         query = self._query_of(msg)
         if query.query_id < 0:
             return {"status": "error", "note": "prepare requires a query id"}
-        delay = msg.get("delay")
-        rung = str(msg.get("rung", "full"))
         planner = self.planner
-        route = _plan_rung(planner, query, rung, None if delay is None else int(delay))
+        route = self._plan_leg(query, msg)
         if route is None:
             return {"status": "refused", "note": "no route at this rung"}
         qid = query.query_id
@@ -542,12 +528,9 @@ class ShardedPlanner(Planner):
         warehouse: Warehouse,
         workers: int = 1,
         mode: str = "process",
-        partition: str = "aisle",
         planner_kwargs: Optional[Dict[str, Any]] = None,
     ) -> None:
         super().__init__()
-        if partition != "aisle":
-            raise ValueError(f"unknown partition strategy {partition!r}")
         if mode not in ("process", "inline"):
             raise ValueError(f"unknown shard mode {mode!r}; expected process/inline")
         self.warehouse = warehouse

@@ -296,7 +296,6 @@ def _recover_cluster(
 ) -> Dict[str, object]:
     """Recover one conflict cluster: prioritised -> CBS -> serial ladder."""
     planner = sim.planner
-    stats = getattr(planner, "stats", None)
     members: List[_Member] = []
     for active in sorted(group, key=recovery_priority):
         route = active.route
@@ -317,9 +316,6 @@ def _recover_cluster(
     sim.recovery_clusters += 1
     sim.cluster_robots += size
     sim.max_cluster_size = max(sim.max_cluster_size, size)
-    if stats is not None:
-        stats.recovery_clusters += 1
-        stats.cluster_robots += size
 
     # Joint decommit: strip every member to its executed prefix, then
     # immediately re-commit its forced hold as standing presence — a
@@ -364,8 +360,6 @@ def _recover_cluster(
     # residual failure holds, outstanding pre-holds) back to executed
     # prefixes; CBS models the standing spans itself via ``stand_from``.
     sim.recovery_cbs += 1
-    if stats is not None:
-        stats.cbs_escalations += 1
     for member in members:
         planner.release_recovery_hold(member.active.query_id)
         decommits += planner.decommit_for_recovery(member.active.query_id, member.cell, now)
@@ -400,8 +394,6 @@ def _recover_cluster(
     # Phase 3: PR 2's serial hold-and-replan ladder, the only phase
     # allowed to abandon tasks.
     sim.recovery_serial += 1
-    if stats is not None:
-        stats.serial_fallbacks += 1
     context = {"cluster_size": size, "strategy": "serial", "decommits": decommits}
     for member in members:
         if member.active.query_id in sim._executing:

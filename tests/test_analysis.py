@@ -100,7 +100,7 @@ class TestDeepSizeof:
 
         # ``queries``/``last_end``/... live in the *base* class's
         # __slots__; a walker that only reads the leaf class's slots
-        # misses them (and, worse, every data column of the columnar
+        # misses them (and, worse, the band index of the columnar
         # store).
         store = SlopeIndexedStore()
         empty = deep_sizeof(store)
@@ -116,7 +116,7 @@ class TestDeepSizeof:
         empty = deep_sizeof(store)
         for t in range(500):
             store.insert(make_move(3 * t, 0, 9))
-        # seven int64 columns -> at least 7 * 8 bytes per segment
+        # one ten-field band entry per segment -> well over 7 * 8 bytes
         assert deep_sizeof(store) - empty >= 500 * 7 * 8
 
     def test_memoryview_follows_exporter(self):

@@ -188,12 +188,9 @@ class TestCommands:
         monkeypatch.setattr(repro.service, "ShardedPlanner", fake_sharded)
         with pytest.raises(Built):
             main(["serve", "--dataset", "W-1", "--scale", "0.2",
-                  "--workers", "2", "--store", "naive",
-                  "--store-layout", "object", "--exact"])
+                  "--workers", "2", "--store", "naive", "--exact"])
         assert seen["workers"] == 2
-        assert seen["planner_kwargs"] == {
-            "store": "naive", "store_layout": "object", "intra_exact": True,
-        }
+        assert seen["planner_kwargs"] == {"store": "naive", "intra_exact": True}
 
 
 class TestPlannerVariantFlags:

@@ -187,7 +187,7 @@ class TestTrafficInteraction:
 
 class TestEntryClearTime:
     def test_waiting_obstacle(self):
-        from repro.core.inter_strip import _entry_clear_time
+        from repro.core.store_base import _entry_clear_time
         from repro.core.segments import make_wait
 
         obstacle = make_wait(5, 3, 10)  # occupies pos 3 during [5, 15]
@@ -195,7 +195,7 @@ class TestEntryClearTime:
         assert _entry_clear_time(obstacle, 3, 20) == 20
 
     def test_moving_obstacle(self):
-        from repro.core.inter_strip import _entry_clear_time
+        from repro.core.store_base import _entry_clear_time
         from repro.core.segments import make_move
 
         obstacle = make_move(2, 0, 8)  # passes pos 5 at t=7
@@ -203,7 +203,7 @@ class TestEntryClearTime:
         assert _entry_clear_time(obstacle, 5, 9) == 9
 
     def test_backward_moving_obstacle(self):
-        from repro.core.inter_strip import _entry_clear_time
+        from repro.core.store_base import _entry_clear_time
         from repro.core.segments import make_move
 
         obstacle = make_move(0, 9, 1)  # passes pos 4 at t=5

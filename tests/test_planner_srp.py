@@ -56,16 +56,16 @@ class TestBasics:
         assert not planner.crossings
 
 
-#: (store, store_layout) of every segment-store backend
-BACKENDS = [("slope", "columnar"), ("slope", "object"), ("naive", "object")]
+#: every segment-store backend
+BACKENDS = ["columnar", "slope", "naive"]
 
 
 class TestCollisionFreedom:
     @pytest.mark.parametrize(
-        "store,layout", BACKENDS, ids=["slope-columnar", "slope-object", "naive"]
+        "store", BACKENDS, ids=["slope-columnar", "slope-object", "naive"]
     )
-    def test_random_stream_collision_free(self, mid_warehouse, store, layout):
-        planner = SRPPlanner(mid_warehouse, store=store, store_layout=layout)
+    def test_random_stream_collision_free(self, mid_warehouse, store):
+        planner = SRPPlanner(mid_warehouse, store=store)
         cells = random_cells(mid_warehouse, 120, seed=7)
         routes = []
         release = 0
@@ -100,8 +100,8 @@ class TestCollisionFreedom:
         same cost profile (identical plans are not required)."""
         cells = random_cells(mid_warehouse, 60, seed=13)
         durations = []
-        for store, layout in BACKENDS:
-            planner = SRPPlanner(mid_warehouse, store=store, store_layout=layout)
+        for store in BACKENDS:
+            planner = SRPPlanner(mid_warehouse, store=store)
             total = 0
             for k in range(0, 60, 2):
                 route = planner.plan(Query(cells[k], cells[k + 1], 5 * k, query_id=k))

@@ -380,6 +380,18 @@ class TestShardWorkerOps:
         reply = worker.handle({"op": "plan", "id": 1})  # no origin/dest
         assert reply["status"] == "error"
 
+    @pytest.mark.parametrize("op", ["plan", "prepare"])
+    def test_unknown_rung_is_structured_error(self, op):
+        worker = ShardWorker(WAREHOUSE, 0, 1)
+        cells = WAREHOUSE.free_cells()
+        reply = worker.handle({
+            "op": op, "id": 1, "origin": list(cells[0]), "dest": list(cells[5]),
+            "rung": "teleport",
+        })
+        assert reply["status"] == "error"
+        assert "teleport" in reply["note"]
+        assert worker.planner.n_segments == 0
+
     def test_inline_shard_round_trips_codec(self):
         shard = InlineShard(ShardWorker(WAREHOUSE, 0, 1))
         assert shard.request({"op": "ping"})["status"] == "ok"

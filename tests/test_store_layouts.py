@@ -1,11 +1,12 @@
-"""Layout-equivalence suite: columnar vs. object-backed stores.
+"""Layout-equivalence suite: columnar vs. object-backed slope index.
 
-The columnar store (``repro.core.columnar_store``) re-implements the
-slope-indexed store over flat integer arrays.  Its contract is *bit
-identity*: every query answer and every end-to-end route must match the
-object-backed implementation exactly.  These tests drive both layouts
-through the same randomised commit/decommit/prune/query interleavings
-and compare everything observable.
+The columnar store (``repro.core.columnar_store``) answers the
+slope-indexed store's queries from a per-band interval index.  Its
+contract is *bit identity*: every query answer and every end-to-end
+route must match the object-backed implementation exactly.  These tests
+drive both layouts through the same randomised
+commit/decommit/prune/query interleavings and compare everything
+observable.
 
 ``band_clear`` is the one deliberate exception: the object layout has
 no index and always declines, so its answers are not compared.  Each
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Query, SRPPlanner, Warehouse
 from repro.analysis.validate import audit_planner_state
 from repro.core.columnar_store import BAND_WIDTH, ColumnarSegmentStore
+from repro.core.naive_store import NaiveSegmentStore
 from repro.core.segments import Segment
 from repro.core.slope_index import SlopeIndexedStore
 from repro.core.store_base import _band_time_interval
@@ -223,10 +225,10 @@ def test_band_clear_matches_brute_force(ops):
 # Two distinct segments can tie on (blocked time, class rank, t0) only
 # by sharing start point and line and differing in length, so they touch
 # different sets of bands.  Per band the index sorts the shorter one
-# first, while the columns hold them in insertion order: the conflict
-# scan has to fall back to column order to report the slope index's
-# obstacle.  Line p = 14 + t: SHORT leaves band 0 for band 1, LONG
-# reaches band 2.
+# first, while the slope index holds them in insertion order: the
+# conflict scan has to fall back to insertion order to report the slope
+# index's obstacle.  Line p = 14 + t: SHORT leaves band 0 for band 1,
+# LONG reaches band 2.
 _SHORT = Segment(0, 14, 4, 18)
 _LONG = Segment(0, 14, 20, 34)
 
@@ -246,13 +248,13 @@ _TIE_PROBES = [
     [
         ((_LONG, _SHORT), (), _LONG),
         ((_SHORT, _LONG), (), _SHORT),
-        # remove() drops the *last* value-equal instance: SHORT keeps
-        # column 0 and still wins
+        # remove() drops the *last* value-equal instance: the first
+        # SHORT survives and still wins
         ((_SHORT, _LONG, _SHORT), (_SHORT,), _SHORT),
         ((_LONG, _SHORT, _LONG), (_LONG,), _LONG),
     ],
 )
-def test_conflict_tie_break_follows_column_order(probe, inserts, removes, expected):
+def test_conflict_tie_break_follows_insertion_order(probe, inserts, removes, expected):
     hits = []
     for store in (ColumnarSegmentStore(), SlopeIndexedStore()):
         for segment in inserts:
@@ -284,6 +286,18 @@ def test_owner_defaults_to_anonymous():
     store = ColumnarSegmentStore()
     store.insert(Segment(0, 0, 4, 4))
     assert store.owners_overlapping(0, 10) == []
+
+
+def test_remove_keeps_first_owner_of_duplicate():
+    """Remove-by-value drops the latest-inserted value-equal instance."""
+    store = ColumnarSegmentStore()
+    segment = Segment(0, 14, 4, 18)  # spans bands 0 and 1
+    store.insert(segment, owner=1)
+    store.insert(segment, owner=2)
+    store.remove(segment)
+    assert store.owners_overlapping(0, 10) == [1]
+    assert len(store) == 1
+    assert list(store.iter_segments()) == [segment]
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +406,17 @@ def _apply_ops(planner, ops):
 
 def test_layout_knob_validation():
     warehouse = _warehouse()
-    planner = SRPPlanner(warehouse)
-    assert planner.store_layout == "columnar"  # slope default
-    assert SRPPlanner(warehouse, store="naive").store_layout == "object"
-    assert SRPPlanner(warehouse, store_layout="object").store_layout == "object"
+    assert type(SRPPlanner(warehouse).stores.materialize(0)) is ColumnarSegmentStore
+    for store, cls in (
+        ("columnar", ColumnarSegmentStore),
+        ("slope", SlopeIndexedStore),
+        ("naive", NaiveSegmentStore),
+    ):
+        planner = SRPPlanner(warehouse, store=store)
+        assert planner.store_kind == store
+        assert type(planner.stores.materialize(0)) is cls
     with pytest.raises(ValueError):
-        SRPPlanner(warehouse, store_layout="rowwise")
-    with pytest.raises(ValueError):
-        SRPPlanner(warehouse, store="naive", store_layout="columnar")
+        SRPPlanner(warehouse, store="rowwise")
 
 
 @settings(max_examples=25, deadline=None)
@@ -412,8 +429,8 @@ def test_layouts_identical_under_fault_interleavings(ops):
     included.
     """
     warehouse = _warehouse()
-    columnar = _apply_ops(SRPPlanner(warehouse, store_layout="columnar"), ops)
-    object_backed = _apply_ops(SRPPlanner(warehouse, store_layout="object"), ops)
+    columnar = _apply_ops(SRPPlanner(warehouse, store="columnar"), ops)
+    object_backed = _apply_ops(SRPPlanner(warehouse, store="slope"), ops)
     assert columnar == object_backed
 
 
@@ -434,8 +451,8 @@ def _plan_day(planner):
 def test_audit_agrees_across_layouts():
     """Both layouts survive the stores-vs-routes audit with zero findings."""
     warehouse = _warehouse()
-    for layout in ("columnar", "object"):
-        planner = SRPPlanner(warehouse, store_layout=layout)
+    for store in ("columnar", "slope"):
+        planner = SRPPlanner(warehouse, store=store)
         routes = _plan_day(planner)
         assert routes, "day workload planned nothing"
         assert audit_planner_state(planner, routes) == []

@@ -78,3 +78,21 @@ class TestStripStoreMap:
         stores.materialize(5)
         assert len(list(stores)) == 2
         assert len(dict(stores.active_items())) == 2
+
+    def test_counters_outlive_dropped_stores(self):
+        stores = StripStoreMap(4, NaiveSegmentStore)
+        early, late = make_move(0, 0, 3), make_move(50, 0, 3)
+        stores.materialize(1).insert(early)
+        stores.materialize(2).insert(late)
+        assert stores[1].earliest_conflict(make_move(0, 3, 0)) is not None
+        assert stores[2].earliest_conflict(make_move(50, 3, 0)) is not None
+        totals = (stores.queries, stores.judged)
+        assert totals == (2, 2)
+        stores.remove(1, early)  # empties strip 1 by decommit
+        assert stores[1] is EMPTY_STORE
+        assert (stores.queries, stores.judged) == totals
+        assert stores.prune(100) == 1  # empties strip 2 by prune
+        assert stores[2] is EMPTY_STORE
+        assert (stores.queries, stores.judged) == totals
+        stores.clear()
+        assert (stores.queries, stores.judged) == (0, 0)

@@ -1,8 +1,8 @@
 """SRP006 — geometry arrays must stay integer-dtyped.
 
-Invariant (PR 6): the columnar store and the strip geometry batch their
-hot loops over flat arrays, and every quantity in them — times,
-positions, slopes, intercepts — is an exact integer.  A float-dtyped
+Invariant: the strip geometry batches its hot loops over flat arrays,
+and every quantity in them — times, positions, slopes, intercepts — is
+an exact integer.  A float-dtyped
 array silently re-introduces the rounding hazards SRP002 bans from
 scalar code: ``np.int64`` comparisons become approximate the moment one
 operand is promoted to ``float64``, and a 2^53-second horizon quietly
